@@ -34,8 +34,7 @@ def run_paper_evaluation(apps=APPLICATIONS, preset: str = "default",
                          config=None, include_pit: bool = True,
                          verbose: bool = False, jobs: int = 1,
                          cache_dir: "str | None" = None,
-                         collect_metrics: bool = False,
-                         engine: str = "interp") -> str:
+                         collect_metrics: bool = False) -> str:
     """Run the full evaluation campaign and render every table/figure.
 
     ``jobs`` widens the worker pool (independent campaign cells run in
@@ -44,22 +43,14 @@ def run_paper_evaluation(apps=APPLICATIONS, preset: str = "default",
     recomputes cells whose (spec, config) inputs changed.
     ``collect_metrics`` additionally snapshots a metrics registry per
     simulated cell (cached next to the stats; rendered tables are
-    unchanged).  ``engine`` selects the simulation core for the
-    campaign cells (Table 1's latency probes drive the reference path
-    directly and are engine-free); it only applies when ``config`` is
-    None — an explicit config carries its own engine field.
+    unchanged).
     """
-    if config is None and engine != "interp":
-        from repro.sim.config import MachineConfig
-        campaign_config = MachineConfig(engine=engine)
-    else:
-        campaign_config = config
     session = Session(jobs=jobs, cache_dir=cache_dir,
                       progress=CampaignProgress() if verbose else None,
                       collect_metrics=collect_metrics)
     sections = [str(table1(config)), "", str(table2()), ""]
     suites = session.run_campaign(apps, preset=preset,
-                                  config=campaign_config)
+                                  config=config)
     sections += [figure7_ascii(suites), "",
                  str(figure7_table(suites)), "",
                  str(table3(suites)), "",
@@ -67,7 +58,7 @@ def run_paper_evaluation(apps=APPLICATIONS, preset: str = "default",
                  str(table5(suites)), ""]
     if include_pit:
         sections += [str(pit_sensitivity(apps, preset=preset,
-                                         config=campaign_config,
+                                         config=config,
                                          session=session)),
                      ""]
     if session.progress is not None:

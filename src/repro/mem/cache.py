@@ -22,16 +22,6 @@ from enum import IntEnum
 
 from repro.sim.config import CacheConfig
 
-#: Shadow-mirror index fold (see :meth:`Cache.attach_shadow`): physical
-#: line numbers are bimodal — real frames count up from zero, imaginary
-#: (LA-NUMA) frames from ``1 << 40`` — so the dense mirror maps real
-#: lines to ``[0, OFFSET)`` and imaginary lines to ``[OFFSET, 2*OFFSET)``
-#: by subtracting the imaginary line base.  Lines outside either window
-#: (never seen in practice) are simply not mirrored, which the replay
-#: engine treats as "not provably a hit".
-SHADOW_IMAG_OFFSET = 1 << 28
-
-
 class LineState(IntEnum):
     """MESI line states, interpreted machine-wide (module docstring)."""
 
@@ -57,7 +47,7 @@ class Cache:
     """
 
     __slots__ = ("num_sets", "associativity", "_sets", "flat", "hits",
-                 "misses", "evictions", "shadow", "shadow_imag_line")
+                 "misses", "evictions")
 
     def __init__(self, cfg: CacheConfig) -> None:
         self.num_sets = cfg.num_sets
@@ -69,53 +59,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional dense numpy int8 mirror (folded line id -> state, 0
-        #: when absent) kept for the vectorized replay engine
-        #: (``repro.sim.replay``).  ``None`` — the default — costs every
-        #: mutation path a single ``is not None`` test.  Attach with
-        #: :meth:`attach_shadow`; must be attached while the cache is
-        #: empty so the mirror starts in sync.
-        self.shadow = None
-        #: Line numbers at or above this come from imaginary frames and
-        #: fold down by ``line - shadow_imag_line + SHADOW_IMAG_OFFSET``
-        #: (set by :meth:`attach_shadow`; the machine supplies
-        #: ``IMAGINARY_BASE * lines_per_page``).
-        self.shadow_imag_line = 0
-
-    def attach_shadow(self, shadow, imag_line_base: int) -> None:
-        """Install a dense state mirror (see :attr:`shadow`)."""
-        if self.flat:
-            raise RuntimeError("attach_shadow on a non-empty cache")
-        self.shadow = shadow
-        self.shadow_imag_line = imag_line_base
-
-    def _shadow_set(self, line: int, state: int) -> None:
-        """Mirror ``line -> state``; unmirrorable lines are skipped
-        (the replay engine then treats them as never-a-hit, which is
-        safe — just slow)."""
-        if line >= self.shadow_imag_line:
-            idx = line - self.shadow_imag_line + SHADOW_IMAG_OFFSET
-            if idx >= SHADOW_IMAG_OFFSET << 1:
-                return
-        else:
-            idx = line
-            if idx >= SHADOW_IMAG_OFFSET:
-                return
-        shadow = self.shadow
-        if idx >= len(shadow):
-            if not state:
-                return  # beyond the array everything is already 0
-            shadow = self._shadow_grow(idx)
-        shadow[idx] = state
-
-    def _shadow_grow(self, idx: int):
-        """Grow the shadow array to cover ``idx`` (amortized doubling)."""
-        import numpy as np
-        old = self.shadow
-        grown = np.zeros(max(2 * len(old), idx + 1024), dtype=np.int8)
-        grown[:len(old)] = old
-        self.shadow = grown
-        return grown
 
     def lookup(self, line: int) -> LineState:
         """State of ``line``; touches LRU on hit."""
@@ -142,10 +85,6 @@ class Cache:
             self.evictions += 1
         cache_set[line] = state
         self.flat[line] = state
-        if self.shadow is not None:
-            if victim is not None:
-                self._shadow_set(victim[0], 0)
-            self._shadow_set(line, state)
         return victim
 
     def set_state(self, line: int, state: LineState) -> None:
@@ -155,8 +94,6 @@ class Cache:
             raise KeyError("line %d not resident" % line)
         cache_set[line] = state
         self.flat[line] = state
-        if self.shadow is not None:
-            self._shadow_set(line, state)
 
     def remove(self, line: int) -> LineState:
         """Remove ``line``; returns its previous state (INVALID if absent)."""
@@ -164,8 +101,6 @@ class Cache:
         if state is None:
             return LineState.INVALID
         del self._sets[line % self.num_sets][line]
-        if self.shadow is not None:
-            self._shadow_set(line, 0)
         return state
 
     def resident_lines(self) -> "list[int]":
@@ -296,30 +231,22 @@ class CacheHierarchy:
             vline, vstate = cache_set.popitem(last=False)
             del l2.flat[vline]
             l2.evictions += 1
-            if l2.shadow is not None:
-                l2._shadow_set(vline, 0)
             l1_state = l1.remove(vline)  # inclusion
             if l1_state == _MODIFIED:
                 vstate = _MODIFIED
             lost.append((vline, vstate))
         cache_set[line] = state
         l2.flat[line] = state
-        if l2.shadow is not None:
-            l2._shadow_set(line, state)
         cache_set = l1._sets[line % l1.num_sets]
         if len(cache_set) >= l1.associativity:
             vline, vstate = cache_set.popitem(last=False)
             del l1.flat[vline]
             l1.evictions += 1
-            if l1.shadow is not None:
-                l1._shadow_set(vline, 0)
             # Inclusion: L2 still holds the line; merge dirtiness down.
             if vstate == _MODIFIED:
                 l2.set_state(vline, _MODIFIED)
         cache_set[line] = state
         l1.flat[line] = state
-        if l1.shadow is not None:
-            l1._shadow_set(line, state)
         return lost
 
     def write_hit(self, line: int) -> None:
@@ -361,11 +288,7 @@ class CacheHierarchy:
             vline, vstate = cache_set.popitem(last=False)
             del l1.flat[vline]
             l1.evictions += 1
-            if l1.shadow is not None:
-                l1._shadow_set(vline, 0)
             if vstate == _MODIFIED:
                 self.l2.set_state(vline, _MODIFIED)
         cache_set[line] = state
         l1.flat[line] = state
-        if l1.shadow is not None:
-            l1._shadow_set(line, state)

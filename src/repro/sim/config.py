@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.sim.latency import LatencyModel, paper_latency_model
 
@@ -105,20 +105,7 @@ class MachineConfig:
     #: Remote-miss count at which the home considers migrating a page.
     migration_threshold: int = 64
 
-    #: Execution engine for the simulation core.  ``"interp"`` is the
-    #: per-reference interpreter loop; ``"vector"`` is the
-    #: trace-compile-then-replay engine (``repro.sim.replay``), which
-    #: batches cache hits through numpy and drops to the interpreter's
-    #: slow path for everything else.  Both produce byte-identical
-    #: :class:`~repro.sim.stats.MachineStats`, so the engine choice is
-    #: deliberately *excluded* from :meth:`config_hash` (results cache
-    #: across engines).
-    engine: str = "interp"
-
     def __post_init__(self) -> None:
-        if self.engine not in ("interp", "vector"):
-            raise ValueError("engine must be 'interp' or 'vector', got %r"
-                             % (self.engine,))
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
         if self.cpus_per_node < 1:
@@ -160,7 +147,21 @@ class MachineConfig:
 
     @classmethod
     def from_dict(cls, data: "dict[str, object]") -> "MachineConfig":
-        """Rebuild a configuration from :meth:`to_dict` output."""
+        """Rebuild a configuration from :meth:`to_dict` output.
+
+        Raises :class:`ValueError` naming the field when ``data`` has a
+        key that is not a configuration field or lacks one of the
+        nested ``l1``/``l2``/``latency`` sections.
+        """
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError("unknown MachineConfig field(s): %s"
+                             % ", ".join(map(repr, unknown)))
+        for name in ("l1", "l2", "latency"):
+            if name not in data:
+                raise ValueError("MachineConfig payload is missing the %r "
+                                 "field" % name)
         data = dict(data)
         data["l1"] = CacheConfig.from_dict(data["l1"])
         data["l2"] = CacheConfig.from_dict(data["l2"])
@@ -173,15 +174,9 @@ class MachineConfig:
         Two configs hash equal iff every *result-affecting* field
         (including nested cache geometry and latency components) is
         equal; the hash is stable across processes and Python versions,
-        making it usable as an on-disk cache-key component.  ``engine``
-        is excluded: the interpreter and the vectorized replay engine
-        produce byte-identical statistics (a property the golden
-        snapshot and equivalence tests enforce), so cached results are
-        shared across engines.
+        making it usable as an on-disk cache-key component.
         """
-        payload = self.to_dict()
-        payload.pop("engine", None)
-        canonical = json.dumps(payload, sort_keys=True,
+        canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

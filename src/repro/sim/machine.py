@@ -243,8 +243,7 @@ class Machine:
         #: (verification: invariant walks at synchronization points).
         #: None keeps the barrier path a single attribute test.
         self._barrier_hook = None
-        #: Workload-bound taps (closed after _finalize); see
-        #: _bind_workload_taps.
+        #: Workload-bound taps (closed after _finalize); see run.
         self._taps = []
         #: Nodes that have fail-stopped (section 3.3 failure model).
         self.failed_nodes: "set[int]" = set()
@@ -287,29 +286,20 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(self, workload) -> RunResult:
-        """Set up ``workload`` and simulate it to completion."""
-        workload.setup(self.layout, len(self.cpus))
-        self._bind_workload_taps(workload)
-        return self._run_interp(workload)
-
-    def _bind_workload_taps(self, workload) -> None:
-        """Give ``workload`` its post-setup machine hook.
+        """Set up ``workload`` and simulate it to completion.
 
         A workload exposing ``bind_machine(machine)`` (the serving
         family's metrics tap, the 2PC chaos channel driver) is called
-        here, after :meth:`setup` built its segments but before any op
+        after :meth:`setup` built its segments but before any op
         executes.  A returned object with a ``close()`` method is
         closed after the run's stats are finalized.
         """
+        workload.setup(self.layout, len(self.cpus))
         bind = getattr(workload, "bind_machine", None)
-        if bind is None:
-            return
-        tap = bind(self)
-        if tap is not None and hasattr(tap, "close"):
-            self._taps.append(tap)
-
-    def _run_interp(self, workload) -> RunResult:
-        """The interpreter's simulate-to-completion tail (post-setup)."""
+        if bind is not None:
+            tap = bind(self)
+            if tap is not None and hasattr(tap, "close"):
+                self._taps.append(tap)
         # Instructions executed around each memory reference (address
         # arithmetic, loop control) — keeps issue rates realistic for an
         # in-order CPU instead of back-to-back memory operations.
@@ -340,64 +330,15 @@ class Machine:
         self._barrier_hook = hook
 
     def _event_loop(self) -> None:
-        if self.faults is not None or self.deadline is not None:
-            # Fault plans and deadlines need per-event checks, which the
-            # fused-handoff fast loop below skips by design; they take a
-            # separate loop so the fault-free path stays untouched.
-            return self._event_loop_guarded()
-        schedule = self.schedule
-        if schedule is None:
-            heap = [(0, cpu.cpu_id) for cpu in self.cpus]
-        else:
-            heap = [(schedule.cpu_offset(cpu.cpu_id), cpu.cpu_id)
-                    for cpu in self.cpus]
-        heapq.heapify(heap)
-        self._heap = heap
-        cpus = self.cpus
-        run_cpu = self._run_cpu
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        remaining = len(cpus)
-        while heap:
-            t, cid = heappop(heap)
-            cpu = cpus[cid]
-            if cpu.done:
-                continue
-            if t > cpu.time:
-                cpu.time = t
-            while True:
-                status = run_cpu(cpu, heap[0][0] if heap else None)
-                if status == "ready":
-                    # Hand off to the next runnable CPU with a single
-                    # heap sift (push + pop fused); with one runnable
-                    # CPU this bounces straight back without churn.
-                    t, cid = heappushpop(heap, (cpu.time, cid))
-                    cpu = cpus[cid]
-                    if cpu.done:
-                        break
-                    if t > cpu.time:
-                        cpu.time = t
-                    continue
-                if status == "done":
-                    remaining -= 1
-                break
-        if remaining:
-            # CPUs killed externally (fail_node mid-run) are marked done
-            # without ever returning "done", so ``remaining`` alone
-            # over-counts; only genuinely blocked CPUs are a deadlock.
-            stuck = [c.cpu_id for c in self.cpus if not c.done]
-            if stuck:
-                raise RuntimeError(
-                    "deadlock: CPUs %r blocked with empty event heap "
-                    "(mismatched barriers or locks in the workload?)" % stuck)
+        """Run every CPU to completion in timestamp order.
 
-    def _event_loop_guarded(self) -> None:
-        """The event loop under a fault plan and/or a deadline.
-
-        Functionally the same scheduler, minus the fused fast handoff:
-        every step goes through the heap so the loop can apply scheduled
-        node failures, stall CPUs of paused nodes, and enforce the
-        simulated-time deadline at each event.
+        Each step hands the running CPU back to the heap and takes the
+        earliest event with one fused ``heappushpop`` sift; with one
+        runnable CPU this bounces straight back without churn.  Under a
+        fault plan or a deadline (``guarded``), every event taken is
+        first checked against the simulated-time deadline, given to the
+        fault plane (scheduled node failures) and, if its CPU's node is
+        paused, requeued at the end of the pause window.
         """
         schedule = self.schedule
         if schedule is None:
@@ -408,36 +349,47 @@ class Machine:
         heapq.heapify(heap)
         self._heap = heap
         cpus = self.cpus
+        run_cpu = self._run_cpu
         faults = self.faults
         deadline = self.deadline
+        guarded = faults is not None or deadline is not None
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         remaining = len(cpus)
         while heap:
             t, cid = heappop(heap)
-            if deadline is not None and t > deadline:
-                raise DeadlineExceeded(
-                    "simulated-time deadline %d exceeded at cycle %d"
-                    % (deadline, t))
-            if faults is not None:
-                faults.on_tick(self, t)
-                release = faults.release_time(cpus[cid].node.node_id, t)
-                if release > t:
-                    # The CPU's node is paused: it stalls until the
-                    # pause window ends, then resumes where it was.
-                    heappush(heap, (release, cid))
+            while True:
+                if guarded:
+                    if deadline is not None and t > deadline:
+                        raise DeadlineExceeded(
+                            "simulated-time deadline %d exceeded at cycle %d"
+                            % (deadline, t))
+                    if faults is not None:
+                        faults.on_tick(self, t)
+                        release = faults.release_time(
+                            cpus[cid].node.node_id, t)
+                        if release > t:
+                            # The CPU's node is paused: it stalls until
+                            # the pause window ends, then resumes where
+                            # it was.
+                            t, cid = heappushpop(heap, (release, cid))
+                            continue
+                cpu = cpus[cid]
+                if cpu.done:
+                    break
+                if t > cpu.time:
+                    cpu.time = t
+                status = run_cpu(cpu, heap[0][0] if heap else None)
+                if status == "ready":
+                    t, cid = heappushpop(heap, (cpu.time, cid))
                     continue
-            cpu = cpus[cid]
-            if cpu.done:
-                continue
-            if t > cpu.time:
-                cpu.time = t
-            status = self._run_cpu(cpu, heap[0][0] if heap else None)
-            if status == "ready":
-                heappush(heap, (cpu.time, cid))
-            elif status == "done":
-                remaining -= 1
+                if status == "done":
+                    remaining -= 1
+                break
         if remaining:
+            # CPUs killed externally (fail_node mid-run) are marked done
+            # without ever returning "done", so ``remaining`` alone
+            # over-counts; only genuinely blocked CPUs are a deadlock.
             stuck = [c.cpu_id for c in self.cpus if not c.done]
             if stuck:
                 raise RuntimeError(

@@ -227,60 +227,3 @@ def test_chaos_without_trace_output_is_unchanged(capsys):
     assert main(["chaos", "--seed", "7", "--rounds", "2"]) in (0, 1)
     out = capsys.readouterr().out
     assert "causal trace" not in out
-
-
-def test_run_engine_vector_prints_identical_stats(capsys):
-    args = ["run", "fft", "--preset", "tiny", "--no-cache"]
-    assert main(args) == 0
-    interp = capsys.readouterr().out
-    assert main(args + ["--engine", "vector"]) == 0
-    vector = capsys.readouterr().out
-    assert vector == interp
-
-
-def test_engine_is_not_part_of_the_cache_key(tmp_path, capsys):
-    # An interp-cached cell must be served from cache under --engine
-    # vector (and vice versa): the engines are byte-identical, so the
-    # result cache key deliberately ignores the engine field.
-    cache = str(tmp_path / "cache")
-    base = ["run", "lu", "--preset", "tiny", "--cache-dir", cache]
-    assert main(base) == 0
-    cold = capsys.readouterr().out
-    assert "[cached]" not in cold
-    assert main(base + ["--engine", "vector"]) == 0
-    warm = capsys.readouterr().out
-    assert "[cached]" in warm
-    assert warm.replace(" [cached]", "") == cold
-
-
-def test_evaluate_engine_leaves_table1_probes_alone(capsys):
-    # ``--engine`` must select the campaign cells' simulation core
-    # without touching Table 1's latency microbenchmark, which needs
-    # its own machine geometry (regression: forcing a default
-    # MachineConfig onto table1 overran the probe's private region).
-    import re
-
-    def tables(out):
-        # Drop progress and campaign-summary lines (volatile host
-        # wall times).
-        return [line for line in out.splitlines()
-                if not re.match(r"\s*\[\d+/\d+\]|campaign:", line)]
-
-    base = ["evaluate", "--preset", "tiny", "--apps", "fft",
-            "--skip-pit", "--no-cache"]
-    assert main(base) == 0
-    interp = capsys.readouterr().out
-    assert "Table 1" in interp
-    assert main(base + ["--engine", "vector"]) == 0
-    vector = capsys.readouterr().out
-    assert tables(vector) == tables(interp)
-
-
-def test_trace_command_under_vector_engine(tmp_path, capsys):
-    out = tmp_path / "spans.jsonl"
-    assert main(["trace", "fft", "--preset", "tiny", "--seed", "3",
-                 "--engine", "vector", "--out", str(out)]) == 0
-    report = capsys.readouterr().out
-    assert "transactions" in report and "= duration" in report
-    from repro.obs.tracing import validate_spans_jsonl
-    assert validate_spans_jsonl(str(out)) > 0

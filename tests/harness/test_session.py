@@ -39,6 +39,12 @@ class TestExperimentSpec:
         assert (base.cache_key()
                 != spec(config=tiny_config(tlb_entries=16)).cache_key())
 
+    def test_cache_key_is_pinned(self):
+        # Existing --cache-dir entries are stored under this key: a
+        # change to the spec/config serialization must not move it.
+        assert ExperimentSpec("fft", "scoma", preset="tiny").cache_key() == (
+            "ad2213b728a81a6d8d5505ee137d1e3142cae5becfc32de91d9521b4eae34b9c")
+
     def test_payload_round_trip(self):
         s = spec(policy="scoma-70", page_cache_override=(3, 4))
         back = ExperimentSpec.from_payload(s.to_payload())

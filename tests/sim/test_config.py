@@ -90,3 +90,25 @@ def test_config_hash_stable_and_field_sensitive():
     from repro.sim.latency import LatencyModel
     dram = replace(tiny_config(), latency=LatencyModel(pit_access=10))
     assert dram.config_hash() != tiny_config().config_hash()
+
+
+def test_config_hash_is_pinned():
+    # Existing --cache-dir entries are keyed by this digest: a change to
+    # the config's fields or their serialization must not move it.
+    assert tiny_config().config_hash() == (
+        "0f6ef2fe7c4efc008f7b8d1d5ba0e81c649ebe717178d48456cf854c0cc4c81c")
+
+
+def test_from_dict_rejects_unknown_field():
+    payload = tiny_config().to_dict()
+    payload["engine"] = "interp"
+    with pytest.raises(ValueError, match="'engine'"):
+        MachineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "latency"])
+def test_from_dict_rejects_missing_nested_section(name):
+    payload = tiny_config().to_dict()
+    del payload[name]
+    with pytest.raises(ValueError, match="'%s'" % name):
+        MachineConfig.from_dict(payload)
