@@ -32,6 +32,9 @@ from repro.interconnect.messages import MessageKind
 from repro.mem.cache import LineState
 from repro.sim.engine import Resource
 
+#: The Invalid tag's byte in a ``FineGrainTags`` array.
+_TAG_INVALID = int(Tag.INVALID)
+
 
 class ProtocolError(RuntimeError):
     """An inter-node protocol invariant was violated."""
@@ -592,11 +595,29 @@ class CoherenceController:
                       if dir_page is not None else None)
         home_tags = home_entry.tags if home_entry is not None else None
 
+        # Visit only the lines the flush acts on: those some local CPU
+        # caches, plus those the frame's tags (the directory, for a
+        # tagless frame) still hold valid here.  Every other line's
+        # visit would be a no-op, and no line's actions touch another
+        # line's state, so the live set can be taken up front.
+        lpp = self.lpp
+        base = entry.frame * lpp
+        held = node.presence.any_holder
+        if dir_page is None:
+            live = [lip for lip in range(lpp) if held(base + lip)]
+        elif entry.tags is not None:
+            tags = entry.tags.tags
+            live = [lip for lip in range(lpp)
+                    if tags[lip] != _TAG_INVALID or held(base + lip)]
+        else:
+            nid = node.node_id
+            live = [lip for lip, dl in enumerate(dir_page.lines)
+                    if held(base + lip) or nid in dl.sharers
+                    or (dl.owner == nid
+                        and dl.state == DirState.CLIENT_EXCL)]
         owned = 0
-        base = entry.frame * self.lpp
-        for lip in range(self.lpp):
-            line = base + lip
-            dirty = self._drop_local_copies(line)
+        for lip in live:
+            dirty = self._drop_local_copies(base + lip)
             if dir_page is None:
                 continue
             dl = dir_page.lines[lip]

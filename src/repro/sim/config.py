@@ -15,7 +15,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from repro.sim.latency import LatencyModel, paper_latency_model
+from repro.sim.latency import (LatencyModel, check_fields,
+                               paper_latency_model)
 
 
 @dataclass
@@ -47,8 +48,14 @@ class CacheConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: "dict[str, int]") -> "CacheConfig":
-        """Rebuild a geometry from :meth:`to_dict` output."""
+    def from_dict(cls, data: "dict[str, int]",
+                  path: str = "cache") -> "CacheConfig":
+        """Rebuild a geometry from :meth:`to_dict` output.
+
+        A malformed payload raises :class:`ValueError` naming
+        ``path.field`` (see :func:`~repro.sim.latency.check_fields`).
+        """
+        check_fields(cls, data, path)
         return cls(**data)
 
 
@@ -151,7 +158,8 @@ class MachineConfig:
 
         Raises :class:`ValueError` naming the field when ``data`` has a
         key that is not a configuration field or lacks one of the
-        nested ``l1``/``l2``/``latency`` sections.
+        nested ``l1``/``l2``/``latency`` sections, and naming the path
+        (``l1.bogus``, ``latency.l1_hit``) when a section is malformed.
         """
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -163,8 +171,8 @@ class MachineConfig:
                 raise ValueError("MachineConfig payload is missing the %r "
                                  "field" % name)
         data = dict(data)
-        data["l1"] = CacheConfig.from_dict(data["l1"])
-        data["l2"] = CacheConfig.from_dict(data["l2"])
+        data["l1"] = CacheConfig.from_dict(data["l1"], path="l1")
+        data["l2"] = CacheConfig.from_dict(data["l2"], path="l2")
         data["latency"] = LatencyModel.from_dict(data["latency"])
         return cls(**data)
 

@@ -30,7 +30,32 @@ In-core page fault, remote home                  4400
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields
+
+
+def check_fields(cls, data, path: str) -> None:
+    """Check a dataclass's ``to_dict`` payload found at ``path``.
+
+    ``data`` must be a mapping holding exactly the fields of ``cls``.
+    Raises :class:`ValueError` naming the offending path — ``l1`` for
+    a section that is not a mapping, ``l1.bogus`` for an unknown key,
+    ``latency.l1_hit`` for a missing one — instead of the bare
+    ``TypeError`` that ``cls(**data)`` would raise (or the silent
+    default it would fill in).
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("%s: expected a mapping of %s fields, got %s"
+                         % (path, cls.__name__, type(data).__name__))
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(data) - set(names), key=str)
+    if unknown:
+        raise ValueError("%s.%s: unknown %s field"
+                         % (path, unknown[0], cls.__name__))
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError("%s.%s: missing %s field"
+                         % (path, missing[0], cls.__name__))
 
 
 @dataclass
@@ -85,8 +110,14 @@ class LatencyModel:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: "dict[str, int]") -> "LatencyModel":
-        """Rebuild a model from :meth:`to_dict` output."""
+    def from_dict(cls, data: "dict[str, int]",
+                  path: str = "latency") -> "LatencyModel":
+        """Rebuild a model from :meth:`to_dict` output.
+
+        A malformed payload raises :class:`ValueError` naming
+        ``path.field`` (see :func:`check_fields`).
+        """
+        check_fields(cls, data, path)
         return cls(**data)
 
     # ------------------------------------------------------------------

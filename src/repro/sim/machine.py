@@ -37,7 +37,7 @@ from repro.obs import tracing
 from repro.sim.config import MachineConfig
 from repro.sim.engine import Barrier, LockTable, Resource, sample_utilization
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
-                           OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
+                           OP_REFS, OP_UNLOCK, OP_WRITE)
 from repro.sim.stats import CpuStats, MachineStats, NodeStats
 
 # Hoisted line states and page modes: the reference fast path compares
@@ -70,9 +70,9 @@ class Cpu:
         self.time = 0
         self.gen = None
         self.done = False
-        #: Suspended block op: (is_write, next_addr, stride, remaining),
-        #: or None.  Set when a run op is preempted mid-run because the
-        #: CPU's clock passed another CPU's event time.
+        #: Suspended reference block: the ``zip(addrs, writes)``
+        #: iterator of an ``OP_REFS`` block preempted mid-block because
+        #: the CPU's clock passed another CPU's event time, or None.
         self.run_state = None
 
 
@@ -417,14 +417,15 @@ class Machine:
         access = self._access
         ref_gap = self._ref_gap
         obs_access = self._obs_access
-        run = cpu.run_state
+        block = cpu.run_state
         while limit is None or time <= limit:
-            if run is not None:
-                # Expand a block op inline: one generator resume bought
-                # `count` references; the limit check per reference
-                # keeps cross-CPU FCFS resource ordering exact.
-                is_write, addr, stride, count = run
-                while count:
+            if block is not None:
+                # Expand a reference block inline: one generator resume
+                # bought the whole block; the limit check per reference
+                # keeps cross-CPU FCFS resource ordering exact.  The
+                # block's (address, write) iterator is the CPU's run
+                # state, so a preempted block resumes where it stopped.
+                for addr, is_write in block:
                     issued = time + ref_gap
                     time = access(cpu, addr, is_write, issued)
                     stats.references += 1
@@ -434,15 +435,11 @@ class Machine:
                         stats.reads += 1
                     if obs_access is not None:
                         obs_access.observe(time - issued)
-                    addr += stride
-                    count -= 1
                     if limit is not None and time > limit:
-                        break
-                if count:
-                    cpu.run_state = (is_write, addr, stride, count)
-                    cpu.time = time
-                    return "ready"
-                run = cpu.run_state = None
+                        cpu.run_state = block
+                        cpu.time = time
+                        return "ready"
+                block = cpu.run_state = None
                 continue
             op = next(gen, None)
             if op is None:
@@ -467,12 +464,8 @@ class Machine:
                     obs_access.observe(time - issued)
             elif kind == OP_COMPUTE:
                 time += op[1]
-            elif kind == OP_READ_RUN:
-                if op[3] > 0:
-                    run = (False, op[1], op[2], op[3])
-            elif kind == OP_WRITE_RUN:
-                if op[3] > 0:
-                    run = (True, op[1], op[2], op[3])
+            elif kind == OP_REFS:
+                block = zip(op[1], op[2])
             elif kind == OP_BARRIER:
                 stats.barrier_waits += 1
                 barrier = self._barriers.get(op[1])

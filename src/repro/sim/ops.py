@@ -9,15 +9,19 @@ is one of:
 * ``(OP_BARRIER, barrier_id)`` — global barrier across all CPUs.
 * ``(OP_LOCK, lock_id)``     — acquire a lock (blocks if held).
 * ``(OP_UNLOCK, lock_id)``   — release a lock.
-* ``(OP_READ_RUN, base, stride, count)``  — ``count`` loads from
-  ``base, base+stride, ...`` (virtual addresses).
-* ``(OP_WRITE_RUN, base, stride, count)`` — the store equivalent.
+* ``(OP_REFS, addrs, writes)`` — a reference block: ``len(addrs)``
+  references to the virtual addresses ``addrs[i]``, each a store when
+  ``writes[i]`` is true and a load otherwise.
 
-The run ops are *block* operations: the machine expands them inline in
-its dispatch loop, so a strided sweep costs one generator resume (and
-one yielded tuple) instead of one per reference, while simulating the
+A reference block is the batched form of a run of ``OP_READ``/
+``OP_WRITE`` ops.  ``addrs`` is any int sequence supporting ``len()``
+and indexing — a list built one chunk at a time (a row, an iteration,
+a request batch), or a ``range`` for a constant-stride sweep —
+and ``writes`` a same-length sequence of truth values.  The machine
+expands the block inline in its dispatch loop, so a chunk costs one
+generator resume instead of one per reference, while simulating the
 exact same per-reference sequence — including preemption between any
-two references of the run when another CPU's clock falls earlier.
+two references of the block when another CPU's clock falls earlier.
 
 Plain integers (not an Enum) keep the hot dispatch loop fast.
 """
@@ -28,8 +32,7 @@ OP_WRITE = 2
 OP_BARRIER = 3
 OP_LOCK = 4
 OP_UNLOCK = 5
-OP_READ_RUN = 6
-OP_WRITE_RUN = 7
+OP_REFS = 6
 
 OP_NAMES = {
     OP_COMPUTE: "compute",
@@ -38,21 +41,19 @@ OP_NAMES = {
     OP_BARRIER: "barrier",
     OP_LOCK: "lock",
     OP_UNLOCK: "unlock",
-    OP_READ_RUN: "read_run",
-    OP_WRITE_RUN: "write_run",
+    OP_REFS: "refs",
 }
 
 
 def expand_op(op):
     """Expand one op into its per-reference equivalent (a list of ops).
 
-    Run ops unroll into ``count`` single-reference ops; every other op
-    is returned as-is.  Used by analysis tooling and the block-op
-    equivalence tests — the machine itself expands runs inline.
+    A reference block unrolls into one ``OP_READ``/``OP_WRITE`` per
+    address; every other op is returned as-is.  Used by analysis
+    tooling and the op-stream golden — the machine itself expands
+    blocks inline.
     """
-    kind = op[0]
-    if kind == OP_READ_RUN or kind == OP_WRITE_RUN:
-        single = OP_READ if kind == OP_READ_RUN else OP_WRITE
-        _, base, stride, count = op
-        return [(single, base + i * stride) for i in range(count)]
+    if op[0] == OP_REFS:
+        return [(OP_WRITE if write else OP_READ, addr)
+                for addr, write in zip(op[1], op[2])]
     return [op]

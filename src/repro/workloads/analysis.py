@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
-from repro.sim.ops import OP_BARRIER, OP_LOCK, OP_READ, OP_WRITE
+from repro.sim.ops import (OP_BARRIER, OP_LOCK, OP_READ, OP_REFS, OP_WRITE,
+                           expand_op)
 
 
 @dataclass
@@ -114,22 +115,23 @@ def profile_workload(workload, num_cpus: int = 32,
         refs = 0
         for op in workload.generator(cpu, num_cpus):
             kind = op[0]
-            if kind == OP_READ or kind == OP_WRITE:
-                refs += 1
-                vpage = op[1] // page_bytes
-                gpage = layout.gpage_of(vpage)
-                if kind == OP_WRITE:
-                    profile.writes += 1
-                else:
-                    profile.reads += 1
-                if gpage is None:
-                    profile.private_refs += 1
-                    private_pages.add(vpage)
-                else:
-                    profile.shared_refs += 1
-                    page_readers.setdefault(gpage, set()).add(cpu)
+            if kind == OP_READ or kind == OP_WRITE or kind == OP_REFS:
+                for kind, vaddr in expand_op(op):
+                    refs += 1
+                    vpage = vaddr // page_bytes
+                    gpage = layout.gpage_of(vpage)
                     if kind == OP_WRITE:
-                        page_writers.setdefault(gpage, set()).add(cpu)
+                        profile.writes += 1
+                    else:
+                        profile.reads += 1
+                    if gpage is None:
+                        profile.private_refs += 1
+                        private_pages.add(vpage)
+                    else:
+                        profile.shared_refs += 1
+                        page_readers.setdefault(gpage, set()).add(cpu)
+                        if kind == OP_WRITE:
+                            page_writers.setdefault(gpage, set()).add(cpu)
             elif kind == OP_BARRIER:
                 if cpu == 0:
                     profile.barriers += 1

@@ -24,12 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
-                                  barrier, coalesce_stream, compute,
-                                  lock, unlock)
+                                  barrier, compute, lock, refs, unlock)
 
 BODY_BYTES = 64   # position + velocity + mass (2 cache lines)
 ACC_BYTES = 32    # acceleration vector (1 cache line)
 CELL_BYTES = 32   # centre of mass + total mass (1 cache line)
+#: Write flags of a read-modify-write block.
+_READ_WRITE = (False, True)
 
 
 class BarnesWorkload(Workload):
@@ -122,15 +123,26 @@ class BarnesWorkload(Workload):
             self._super_lists.append(sorted(far_supers))
 
     def generator(self, cpu_id: int, num_cpus: int):
-        # Run-coalesced view of the kernel's stream: op-for-op
-        # identical after expansion (see coalesce_stream).
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         bodies, accels, cells = self.bodies, self.accels, self.cells
+        supercells = self.supercells
         scratch = self.scratch[cpu_id]
         mine = self.block_range(self.n, cpu_id, num_cpus)
         cell_of = self._cell_of_body.tolist()
+        d = self.cells_per_dim
+        half = d // 2
+        # The eight children of supercell 0; supercell (sx, sy, sz)
+        # adds (2*sx*d*d + 2*sy*d + 2*sz) to each.
+        children = [dx * d * d + dy * d + dz
+                    for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+        summarize = (False,) * len(children) + (True,)
+        # Body update: per body, read its acceleration and record, then
+        # write the record.
+        update = np.stack((accels.vbase + ACC_BYTES * np.arange(
+                               mine.start, mine.stop, dtype=np.int64),
+                           bodies.vbase + BODY_BYTES * np.arange(
+                               mine.start, mine.stop, dtype=np.int64)),
+                          axis=1)[:, (0, 1, 1)].ravel().tolist()
+        update_writes = [False, False, True] * len(mine)
         bid = 0
         for _ in range(self.iterations):
             # 1. Cell-summary build (tree construction analogue).
@@ -138,47 +150,37 @@ class BarnesWorkload(Workload):
                 yield bodies.read(b)
                 cell = cell_of[b]
                 yield lock(cell)
-                yield cells.read(cell)
-                yield cells.write(cell)
+                yield refs([cells.addr(cell)] * 2, _READ_WRITE)
                 yield unlock(cell)
             yield barrier(bid)
             bid += 1
             # 1b. Summarize cells into supercells (upper tree level).
-            half = self.cells_per_dim // 2
             for sc in self.block_range(half * half * half, cpu_id, num_cpus):
                 sx, sy, sz = sc // (half * half), (sc // half) % half, sc % half
-                d = self.cells_per_dim
-                for dx in (0, 1):
-                    for dy in (0, 1):
-                        for dz in (0, 1):
-                            child = ((2 * sx + dx) * d * d
-                                     + (2 * sy + dy) * d + (2 * sz + dz))
-                            yield cells.read(child)
-                yield self.supercells.write(sc)
+                first = 2 * (sx * d * d + sy * d + sz)
+                yield refs([cells.addr(first + c) for c in children]
+                           + [supercells.addr(sc)], summarize)
             yield barrier(bid)
             bid += 1
             # 2. Force computation.
             for b in mine:
-                yield bodies.read(b)
-                yield scratch.write(0)
-                for other in self._body_lists[b]:
-                    yield bodies.read(other)
-                yield compute(12 * len(self._body_lists[b]))
-                for cell in self._cell_lists[b]:
-                    yield cells.read(cell)
-                yield compute(10 * len(self._cell_lists[b]))
-                for sc in self._super_lists[b]:
-                    yield self.supercells.read(sc)
-                yield compute(10 * len(self._super_lists[b]))
-                yield scratch.read(0)
-                yield accels.write(b)
+                near = self._body_lists[b]
+                yield refs([bodies.addr(b), scratch.addr(0)]
+                           + [bodies.addr(o) for o in near],
+                           (False, True) + (False,) * len(near))
+                yield compute(12 * len(near))
+                mid = self._cell_lists[b]
+                yield refs([cells.addr(c) for c in mid], (False,) * len(mid))
+                yield compute(10 * len(mid))
+                far = self._super_lists[b]
+                yield refs([supercells.addr(c) for c in far],
+                           (False,) * len(far))
+                yield compute(10 * len(far))
+                yield refs([scratch.addr(0), accels.addr(b)], _READ_WRITE)
             yield barrier(bid)
             bid += 1
             # 3. Body update.
-            for b in mine:
-                yield accels.read(b)
-                yield bodies.read(b)
-                yield bodies.write(b)
+            yield refs(update, update_writes)
             yield compute(6 * len(mine))
             yield barrier(bid)
             bid += 1

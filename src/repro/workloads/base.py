@@ -18,19 +18,59 @@ A workload:
 
 Addresses are plain integers in the (machine-wide) virtual address
 space; :class:`SharedArray` and :class:`PrivateArray` provide element
--> address arithmetic.
+-> address arithmetic.  A kernel builds its addresses one bounded chunk
+at a time (a row, an iteration, a request batch) and yields each chunk
+as one reference block (:func:`refs`, ``read_run``/``write_run``).
 """
 
 from __future__ import annotations
 
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
-                           OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
+                           OP_REFS, OP_UNLOCK, OP_WRITE)
 
 
-class SharedArray:
-    """A shared segment interpreted as an array of fixed-size elements."""
+class ElementArray:
+    """Element -> address arithmetic and reference ops over an array.
+
+    The common base of :class:`SharedArray` and :class:`PrivateArray`.
+    """
 
     __slots__ = ("vbase", "elem_bytes", "num_elems")
+
+    def addr(self, index: int) -> int:
+        """Virtual address of element ``index``."""
+        return self.vbase + index * self.elem_bytes
+
+    def read(self, index: int) -> "tuple[int, int]":
+        """A load op for element ``index``."""
+        return (OP_READ, self.vbase + index * self.elem_bytes)
+
+    def write(self, index: int) -> "tuple[int, int]":
+        """A store op for element ``index``."""
+        return (OP_WRITE, self.vbase + index * self.elem_bytes)
+
+    def read_run(self, index: int, count: int,
+                 stride: int = 1) -> "tuple[int, range, tuple]":
+        """A reference block of ``count`` loads starting at element
+        ``index``, ``stride`` elements apart."""
+        return (OP_REFS, self._sweep(index, count, stride), (False,) * count)
+
+    def write_run(self, index: int, count: int,
+                  stride: int = 1) -> "tuple[int, range, tuple]":
+        """A reference block of ``count`` stores starting at element
+        ``index``, ``stride`` elements apart."""
+        return (OP_REFS, self._sweep(index, count, stride), (True,) * count)
+
+    def _sweep(self, index: int, count: int, stride: int) -> range:
+        step = stride * self.elem_bytes
+        start = self.vbase + index * self.elem_bytes
+        return range(start, start + count * step, step)
+
+
+class SharedArray(ElementArray):
+    """A shared segment interpreted as an array of fixed-size elements."""
+
+    __slots__ = ()
 
     def __init__(self, layout, key: int, num_elems: int, elem_bytes: int) -> None:
         region = layout.attach_shared(key, num_elems * elem_bytes)
@@ -38,74 +78,22 @@ class SharedArray:
         self.elem_bytes = elem_bytes
         self.num_elems = num_elems
 
-    def addr(self, index: int) -> int:
-        """Virtual address of element ``index``."""
-        return self.vbase + index * self.elem_bytes
-
-    def read(self, index: int) -> "tuple[int, int]":
-        """A load op for element ``index``."""
-        return (OP_READ, self.vbase + index * self.elem_bytes)
-
-    def write(self, index: int) -> "tuple[int, int]":
-        """A store op for element ``index``."""
-        return (OP_WRITE, self.vbase + index * self.elem_bytes)
-
-    def read_run(self, index: int, count: int,
-                 stride: int = 1) -> "tuple[int, int, int, int]":
-        """A block-load op: ``count`` loads starting at element
-        ``index``, ``stride`` elements apart."""
-        return (OP_READ_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
-
-    def write_run(self, index: int, count: int,
-                  stride: int = 1) -> "tuple[int, int, int, int]":
-        """A block-store op: ``count`` stores starting at element
-        ``index``, ``stride`` elements apart."""
-        return (OP_WRITE_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
-
     @property
     def size_bytes(self) -> int:
         """Total segment size."""
         return self.num_elems * self.elem_bytes
 
 
-class PrivateArray:
+class PrivateArray(ElementArray):
     """A per-CPU private array (node-local memory, Local-mode frames)."""
 
-    __slots__ = ("vbase", "elem_bytes", "num_elems")
+    __slots__ = ()
 
     def __init__(self, layout, num_elems: int, elem_bytes: int) -> None:
         region = layout.add_private(num_elems * elem_bytes)
         self.vbase = region.vbase
         self.elem_bytes = elem_bytes
         self.num_elems = num_elems
-
-    def addr(self, index: int) -> int:
-        """Virtual address of element ``index``."""
-        return self.vbase + index * self.elem_bytes
-
-    def read(self, index: int) -> "tuple[int, int]":
-        """A load op for element ``index``."""
-        return (OP_READ, self.vbase + index * self.elem_bytes)
-
-    def write(self, index: int) -> "tuple[int, int]":
-        """A store op for element ``index``."""
-        return (OP_WRITE, self.vbase + index * self.elem_bytes)
-
-    def read_run(self, index: int, count: int,
-                 stride: int = 1) -> "tuple[int, int, int, int]":
-        """A block-load op: ``count`` loads starting at element
-        ``index``, ``stride`` elements apart."""
-        return (OP_READ_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
-
-    def write_run(self, index: int, count: int,
-                  stride: int = 1) -> "tuple[int, int, int, int]":
-        """A block-store op: ``count`` stores starting at element
-        ``index``, ``stride`` elements apart."""
-        return (OP_WRITE_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
 
 
 class Workload:
@@ -153,80 +141,13 @@ class Workload:
         }
 
 
-def coalesce(refs):
-    """Fuse an in-order stream of ``(OP_READ|OP_WRITE, addr)`` ops into
-    maximal same-kind constant-stride run ops.
+def refs(addrs, writes) -> "tuple[int, object, object]":
+    """A reference-block op (see :mod:`repro.sim.ops`).
 
-    The run ops expand to exactly the input sequence (same kinds, same
-    addresses, same order), so a generator built on :func:`coalesce` is
-    reference-for-reference identical to one yielding the singles — only
-    the op count the simulator iterates over shrinks.  Lone references
-    stay plain single ops.
+    ``addrs[i]`` is stored to where ``writes[i]`` is true and loaded
+    otherwise.
     """
-    run_of = {OP_READ: OP_READ_RUN, OP_WRITE: OP_WRITE_RUN}
-    kind = base = stride = None
-    count = 0
-    for op, addr in refs:
-        if op == kind and (stride is None or addr - prev == stride):
-            if stride is None:
-                stride = addr - prev
-            prev = addr
-            count += 1
-            continue
-        if count == 1:
-            yield (kind, base)
-        elif count:
-            yield (run_of[kind], base, stride, count)
-        kind, base, prev, stride, count = op, addr, addr, None, 1
-    if count == 1:
-        yield (kind, base)
-    elif count:
-        yield (run_of[kind], base, stride, count)
-
-
-def coalesce_stream(ops):
-    """Fuse ref runs in a *full* op stream (refs mixed with compute,
-    barrier and lock ops).
-
-    Like :func:`coalesce`, but accepts the complete generator output:
-    non-reference ops flush any pending run and pass through unchanged,
-    so the expanded stream is op-for-op identical to the input — only
-    maximal same-kind constant-stride reference runs collapse into
-    ``OP_READ_RUN``/``OP_WRITE_RUN``.  Wrap an existing generator with
-    it to get run coalescing without restructuring the kernel::
-
-        def generator(self, cpu_id, num_cpus):
-            return coalesce_stream(self._stream(cpu_id, num_cpus))
-    """
-    run_of = {OP_READ: OP_READ_RUN, OP_WRITE: OP_WRITE_RUN}
-    kind = base = prev = stride = None
-    count = 0
-    for op in ops:
-        k = op[0]
-        if k == OP_READ or k == OP_WRITE:
-            addr = op[1]
-            if k == kind and (stride is None or addr - prev == stride):
-                if stride is None:
-                    stride = addr - prev
-                prev = addr
-                count += 1
-                continue
-            if count == 1:
-                yield (kind, base)
-            elif count:
-                yield (run_of[kind], base, stride, count)
-            kind, base, prev, stride, count = k, addr, addr, None, 1
-            continue
-        if count == 1:
-            yield (kind, base)
-        elif count:
-            yield (run_of[kind], base, stride, count)
-        kind, stride, count = None, None, 0
-        yield op
-    if count == 1:
-        yield (kind, base)
-    elif count:
-        yield (run_of[kind], base, stride, count)
+    return (OP_REFS, addrs, writes)
 
 
 def barrier(bid: int) -> "tuple[int, int]":

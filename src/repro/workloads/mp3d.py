@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import (SharedArray, Workload, barrier,
-                                  coalesce_stream, compute)
+from repro.workloads.base import (SharedArray, Workload, barrier, compute,
+                                  refs)
 
 PARTICLE_BYTES = 64
 CELL_BYTES = 32
+#: Write flags of a particle's update block: particle, cell, cell.
+_UPDATE = (True, False, True)
 
 
 class Mp3dWorkload(Workload):
@@ -73,23 +75,17 @@ class Mp3dWorkload(Workload):
             self._visits.append(cell)
 
     def generator(self, cpu_id: int, num_cpus: int):
-        # Run-coalesced view of the kernel's stream: op-for-op
-        # identical after expansion (see coalesce_stream).
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         particles, space = self.particles, self.space
         mine = self.block_range(self.n, cpu_id, num_cpus)
         bid = 0
         for step in range(self.iterations):
-            visits = self._visits[step][mine.start:mine.stop].tolist()
-            for p, cell in zip(mine, visits):
-                # Move: read/update the particle record.
+            cells = (space.vbase + CELL_BYTES
+                     * self._visits[step][mine.start:mine.stop]).tolist()
+            for p, cell in zip(mine, cells):
+                # Move: read the particle record, compute, update it;
+                # then the collision bookkeeping in its space cell.
                 yield particles.read(p)
                 yield compute(10)
-                yield particles.write(p)
-                # Collision bookkeeping in the space cell.
-                yield space.read(cell)
-                yield space.write(cell)
+                yield refs([particles.addr(p), cell, cell], _UPDATE)
             yield barrier(bid)
             bid += 1

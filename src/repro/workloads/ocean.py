@@ -17,8 +17,10 @@ driver (we carry 4).
 
 from __future__ import annotations
 
-from repro.workloads.base import (SharedArray, Workload, barrier,
-                                  coalesce_stream, compute)
+import numpy as np
+
+from repro.workloads.base import (SharedArray, Workload, barrier, compute,
+                                  refs)
 
 DOUBLE_BYTES = 8
 
@@ -49,30 +51,27 @@ class OceanWorkload(Workload):
                                  elem_bytes=DOUBLE_BYTES)
 
     def generator(self, cpu_id: int, num_cpus: int):
-        # Run-coalesced view of the kernel's stream: op-for-op
-        # identical after expansion (see coalesce_stream).
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         g = self.g
         rows = self.block_range(g - 2, cpu_id, num_cpus)  # interior rows
         src, dst = self.q, self.q_next
+        # Per interior column, in order: the north, south, west, east
+        # and centre reads of src, the psi and gamma reads, the dst
+        # write.  ``lanes`` holds each reference's address minus the
+        # row and column offsets, so a row's block is one broadcast.
+        cols = np.arange(1, g - 1, dtype=np.int64) * DOUBLE_BYTES
+        row_bytes = g * DOUBLE_BYTES
+        writes = ([False] * 7 + [True]) * (g - 2)
         bid = 0
         for _ in range(self.iterations):
+            lanes = np.array([src.vbase - row_bytes, src.vbase + row_bytes,
+                              src.vbase - DOUBLE_BYTES,
+                              src.vbase + DOUBLE_BYTES, src.vbase,
+                              self.psi.vbase, self.gamma.vbase, dst.vbase],
+                             dtype=np.int64)
+            grid = cols[:, None] + lanes
             for r0 in rows:
-                r = r0 + 1
-                row = r * g
-                north = row - g
-                south = row + g
-                for c in range(1, g - 1):
-                    yield src.read(north + c)
-                    yield src.read(south + c)
-                    yield src.read(row + c - 1)
-                    yield src.read(row + c + 1)
-                    yield src.read(row + c)
-                    yield self.psi.read(row + c)
-                    yield self.gamma.read(row + c)
-                    yield dst.write(row + c)
+                row = (r0 + 1) * row_bytes
+                yield refs((grid + row).ravel().tolist(), writes)
                 yield compute(8 * (g - 2))
             yield barrier(bid)
             bid += 1

@@ -24,9 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
-                                  barrier, coalesce_stream, compute)
+                                  barrier, compute, refs)
 
 INT_BYTES = 4
+#: Keys per reference block in the histogram and permutation sweeps.
+CHUNK_KEYS = 512
 
 
 class RadixWorkload(Workload):
@@ -75,45 +77,50 @@ class RadixWorkload(Workload):
             current = current[order]
 
     def generator(self, cpu_id: int, num_cpus: int):
-        # Run-coalesced view of the kernel's stream: op-for-op
-        # identical after expansion (see coalesce_stream).
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         n, radix = self.n, self.radix
         src, dst = self.src, self.dst
         lhist = self.local_hist[cpu_id]
         ghist = self.global_hist
         block = self.block_range(n, cpu_id, num_cpus)
+        keys = np.arange(block.start, block.stop, dtype=np.int64)
+        sample = np.arange(0, radix, 8, dtype=np.int64)
+        # The prefix step reads every 8th entry of each CPU's histogram.
+        published = ghist.vbase + INT_BYTES * (
+            np.arange(num_cpus, dtype=np.int64)[:, None] * radix
+            + sample).ravel()
         bid = 0
         for p, (digits, dest) in enumerate(self._pass_plans):
             a, b = (src, dst) if p % 2 == 0 else (dst, src)
-            dest_list = dest[block.start:block.stop].tolist()
-            digit_list = digits[block.start:block.stop].tolist()
-            # 1. Local histogram.
-            for r in range(0, radix, 8):
-                yield lhist.write(r)
-            for i, d in zip(block, digit_list):
-                yield a.read(i)
-                yield lhist.read(d)
-                yield lhist.write(d)
+            key_addrs = a.vbase + INT_BYTES * keys
+            bin_addrs = lhist.vbase + INT_BYTES * digits[block.start:
+                                                         block.stop]
+            dest_addrs = b.vbase + INT_BYTES * dest[block.start:block.stop]
+            # 1. Local histogram: per key, read it, read-modify-write
+            # its digit's bin.
+            yield lhist.write_run(0, len(sample), stride=8)
+            yield from _key_blocks(key_addrs, bin_addrs, bin_addrs)
             yield barrier(bid)
             bid += 1
             # 2. Publish local histogram; read everyone's to prefix-sum.
-            for r in range(radix):
-                yield ghist.write(cpu_id * radix + r)
+            yield ghist.write_run(cpu_id * radix, radix)
             yield barrier(bid)
             bid += 1
-            for other in range(num_cpus):
-                for r in range(0, radix, 8):
-                    yield ghist.read(other * radix + r)
+            yield refs(published.tolist(), (False,) * len(published))
             yield compute(2 * radix)
             yield barrier(bid)
             bid += 1
-            # 3. Permute: scatter each key to its sorted slot.
-            for i, d in zip(block, dest_list):
-                yield a.read(i)
-                yield lhist.read(digit_list[i - block.start])
-                yield b.write(d)
+            # 3. Permute: per key, read it and its digit's bin, then
+            # scatter it to its sorted slot.
+            yield from _key_blocks(key_addrs, bin_addrs, dest_addrs)
             yield barrier(bid)
             bid += 1
+
+
+def _key_blocks(reads, more_reads, writes):
+    """Per key: load ``reads[k]``, load ``more_reads[k]``, store
+    ``writes[k]`` — one reference block per :data:`CHUNK_KEYS` keys."""
+    for lo in range(0, len(reads), CHUNK_KEYS):
+        hi = lo + CHUNK_KEYS
+        chunk = np.stack((reads[lo:hi], more_reads[lo:hi], writes[lo:hi]),
+                         axis=1)
+        yield refs(chunk.ravel().tolist(), [False, False, True] * len(chunk))

@@ -24,10 +24,10 @@ serving-shaped structure:
   per-transaction outcomes recorded through the value tap let the SC
   checker plus :meth:`Txn2pcScenario.check` judge atomicity.
 
-Both workloads are plain op-stream kernels — their generators go
-through :func:`~repro.workloads.base.coalesce_stream` and contain only
-the standard op vocabulary — so they run unchanged on the machine's
-event loop and join the golden stats matrix.
+Both workloads are plain op-stream kernels — their generators yield
+only the standard op vocabulary, batching adjacent references into
+reference blocks — so they run unchanged on the machine's event loop
+and join the golden stats matrix.
 
 Serving metrics come from :class:`ServingTap`: when a metrics registry
 is installed the workloads bind a tap over ``Machine._access`` (the
@@ -46,10 +46,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.workloads.base import (SharedArray, Workload, barrier,
-                                  coalesce_stream, compute, lock, unlock)
+from repro.workloads.base import (SharedArray, Workload, barrier, compute,
+                                  lock, refs, unlock)
 
 LINE_BYTES = 32
+#: Requests per kvstore reference block.
+CHUNK_REQUESTS = 128
 
 #: Serving workload names (kept separate from the paper's eight
 #: applications; ``repro.workloads`` re-exports this).
@@ -246,26 +248,27 @@ class KvStoreWorkload(Workload):
                  for _ in range(self.batches)])
 
     def generator(self, cpu_id: int, num_cpus: int):
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         nshards = self.num_shards
         vl = self.value_lines
         index = self.index
-        shards = self.shards
+        shard_base = np.array([arr.vbase for arr in self.shards],
+                              dtype=np.int64)
+        value_offsets = LINE_BYTES * np.arange(vl, dtype=np.int64)
         bid = 0
-        for keys, gets in self._plans[cpu_id]:
-            for key, get in zip(keys.tolist(), gets.tolist()):
-                shard = key % nshards
-                yield index.read(shard)
-                arr = shards[shard]
-                base = (key // nshards) * vl
-                if get:
-                    for i in range(vl):
-                        yield arr.read(base + i)
-                else:
-                    for i in range(vl):
-                        yield arr.write(base + i)
+        for batch_keys, batch_gets in self._plans[cpu_id]:
+            # One reference block per CHUNK_REQUESTS requests.  A
+            # request reads its shard's index line, then reads (get) or
+            # writes (put) the value's ``vl`` lines.
+            for lo in range(0, len(batch_keys), CHUNK_REQUESTS):
+                keys = batch_keys[lo:lo + CHUNK_REQUESTS]
+                shard = keys % nshards
+                value = (shard_base[shard]
+                         + LINE_BYTES * (keys // nshards) * vl)
+                addrs = np.column_stack((index.vbase + LINE_BYTES * shard,
+                                         value[:, None] + value_offsets))
+                writes = np.zeros(addrs.shape, dtype=bool)
+                writes[:, 1:] = ~batch_gets[lo:lo + CHUNK_REQUESTS, None]
+                yield refs(addrs.ravel().tolist(), writes.ravel().tolist())
             yield compute(40)
             yield barrier(bid)
             bid += 1
@@ -345,9 +348,6 @@ class Txn2pcWorkload(Workload):
             elem_bytes=LINE_BYTES)
 
     def generator(self, cpu_id: int, num_cpus: int):
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         al = self.apply_lines
         log, votes, data = self.log, self.votes, self.data
         coordinator = cpu_id == 0
@@ -363,14 +363,13 @@ class Txn2pcWorkload(Workload):
             yield barrier(bid)
             bid += 1
             # Phase 2: vote.
-            yield log.read(t)
-            yield votes.write(t * num_cpus + cpu_id)
+            yield refs([log.addr(t), votes.addr(t * num_cpus + cpu_id)],
+                       (False, True))
             yield barrier(bid)
             bid += 1
             # Phase 3: decide.
             if coordinator:
-                for p in range(num_cpus):
-                    yield votes.read(t * num_cpus + p)
+                yield votes.read_run(t * num_cpus, num_cpus)
                 yield lock(0)
                 yield log.write(t)
                 yield unlock(0)
@@ -381,9 +380,7 @@ class Txn2pcWorkload(Workload):
             # Phase 4: apply.
             yield log.read(t)
             yield lock(1 + cpu_id)
-            base = (cpu_id * self.txns + t) * al
-            for i in range(al):
-                yield data.write(base + i)
+            yield data.write_run((cpu_id * self.txns + t) * al, al)
             yield unlock(1 + cpu_id)
             yield barrier(bid)
             bid += 1

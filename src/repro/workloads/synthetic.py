@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.ops import OP_READ, OP_WRITE
-from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
-                                  compute)
+from repro.workloads.base import (SharedArray, Workload, barrier, compute,
+                                  refs)
 
 LINE_BYTES = 32
 
@@ -202,12 +201,8 @@ class SyntheticWorkload(Workload):
         elem = array.elem_bytes
         bid = 0
         for lines, writes in self._plans[cpu_id]:
-            # Fuse each iteration's plan into constant-stride run ops;
-            # coalesce() expands back to exactly the per-line sequence,
-            # so the reference stream (and stats) are unchanged.
-            yield from coalesce(
-                (OP_WRITE if write else OP_READ, vbase + line * elem)
-                for line, write in zip(lines.tolist(), writes.tolist()))
+            # One reference block per iteration, built from the plan.
+            yield refs((vbase + lines * elem).tolist(), writes.tolist())
             yield compute(50)
             yield barrier(bid)
             bid += 1

@@ -24,11 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
-                                  barrier, coalesce_stream, compute,
-                                  lock, unlock)
+                                  barrier, compute, lock, refs, unlock)
 
 MOLECULE_BYTES = 128  # positions/velocities/forces of the 3 atoms
 FORCE_BYTES = 32
+#: Write flags of two-reference blocks.
+_READ_READ = (False, False)
+_READ_WRITE = (False, True)
 
 
 class _WaterBase(Workload):
@@ -55,11 +57,6 @@ class _WaterBase(Workload):
         self._pairs_by_cpu = [pairs[c::num_cpus] for c in range(num_cpus)]
 
     def generator(self, cpu_id: int, num_cpus: int):
-        # Run-coalesced view of the kernel's stream: op-for-op
-        # identical after expansion (see coalesce_stream).
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
-
-    def _stream(self, cpu_id: int, num_cpus: int):
         molecules, forces = self.molecules, self.forces
         scratch = self.scratch[cpu_id]
         mine = self.block_range(self.n, cpu_id, num_cpus)
@@ -75,8 +72,8 @@ class _WaterBase(Workload):
             bid += 1
             # 2. Inter-molecule forces.
             for i, j in pairs:
-                yield molecules.read(i)
-                yield molecules.read(j)
+                yield refs([molecules.addr(i), molecules.addr(j)],
+                           _READ_READ)
                 yield compute(40)
                 yield scratch.write(i % 32)
             # Flush accumulated forces under per-molecule locks.  Each
@@ -87,15 +84,14 @@ class _WaterBase(Workload):
             for mol in touched[start:] + touched[:start]:
                 yield scratch.read(mol % 32)
                 yield lock(mol)
-                yield forces.read(mol)
-                yield forces.write(mol)
+                yield refs([forces.addr(mol)] * 2, _READ_WRITE)
                 yield unlock(mol)
             yield barrier(bid)
             bid += 1
             # 3. Update owned molecules.
             for mol in mine:
-                yield forces.read(mol)
-                yield molecules.read(mol)
+                yield refs([forces.addr(mol), molecules.addr(mol)],
+                           _READ_READ)
                 yield compute(15)
                 yield molecules.write(mol)
             yield barrier(bid)

@@ -88,6 +88,34 @@ class TestPageOut:
         assert node.stats.client_page_outs == 1
         assert check_machine(h.machine) == []
 
+    def test_lanuma_page_out_leaves_directory_without_local_copies(self):
+        # A tagless (LA-NUMA) frame: the flush finds its lines through
+        # the directory, so it must also clear a sharer or owner entry
+        # whose data no local CPU still caches.
+        from repro.core.directory import DirState
+        h = Harness(policy="lanuma")
+        page = h.page_homed_at(1)
+        cpu = h.cpu_on_node(0)
+        h.read(cpu, h.vaddr(page, 0))
+        h.write(cpu, h.vaddr(page, 1))
+        h.read(cpu, h.vaddr(page, 2))
+        node = h.node(0)
+        entry = h.entry_at(0, page)
+        assert entry.tags is None
+        for lip in (0, 1):   # silently lose the local copies
+            line = entry.frame * h.machine.config.lines_per_page + lip
+            h.machine.cpus[cpu].hierarchy.invalidate(line)
+            node.presence.drop_line(line)
+        assert 0 in h.dir_line(page, 0).sharers
+        assert h.dir_line(page, 1).owner == 0
+        node.kernel.page_out_client(entry.frame, h.clock)
+        for lip in (0, 1, 2):
+            dl = h.dir_line(page, lip)
+            assert 0 not in dl.sharers
+            assert dl.state == DirState.HOME_EXCL and dl.owner == -1
+        # The owned line went home even with no dirty local copy.
+        assert node.stats.writebacks_remote == 1
+
     def test_page_out_invalidates_local_tlbs_only(self, harness):
         h = harness
         page = h.page_homed_at(1)

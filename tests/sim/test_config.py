@@ -112,3 +112,55 @@ def test_from_dict_rejects_missing_nested_section(name):
     del payload[name]
     with pytest.raises(ValueError, match="'%s'" % name):
         MachineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("section", ["l1", "l2"])
+def test_from_dict_names_unknown_cache_key(section):
+    payload = tiny_config().to_dict()
+    payload[section]["bogus"] = 1
+    with pytest.raises(ValueError, match=r"^%s\.bogus: unknown" % section):
+        MachineConfig.from_dict(payload)
+
+
+def test_from_dict_names_missing_cache_key():
+    payload = tiny_config().to_dict()
+    del payload["l2"]["associativity"]
+    with pytest.raises(ValueError, match=r"^l2\.associativity: missing"):
+        MachineConfig.from_dict(payload)
+
+
+def test_from_dict_names_unknown_latency_key():
+    payload = tiny_config().to_dict()
+    payload["latency"]["warp_drive"] = 3
+    with pytest.raises(ValueError,
+                       match=r"^latency\.warp_drive: unknown"):
+        MachineConfig.from_dict(payload)
+
+
+def test_from_dict_names_missing_latency_key():
+    # A defaulted field is still required: silently filling it in
+    # would change the simulated machine and its config hash.
+    payload = tiny_config().to_dict()
+    del payload["latency"]["l1_hit"]
+    with pytest.raises(ValueError, match=r"^latency\.l1_hit: missing"):
+        MachineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("section,value", [
+    ("l1", [1024, 32, 2]), ("l2", None), ("latency", "paper")])
+def test_from_dict_names_non_mapping_section(section, value):
+    payload = tiny_config().to_dict()
+    payload[section] = value
+    with pytest.raises(ValueError, match=r"^%s: expected a mapping"
+                       % section):
+        MachineConfig.from_dict(payload)
+
+
+def test_nested_from_dict_standalone_paths():
+    from repro.sim.latency import LatencyModel
+    with pytest.raises(ValueError, match=r"^cache\.size_bytes: missing"):
+        CacheConfig.from_dict({"line_bytes": 32, "associativity": 2})
+    with pytest.raises(ValueError, match=r"^latency: expected a mapping"):
+        LatencyModel.from_dict(42)
+    assert CacheConfig.from_dict(CacheConfig(256, 32, 2).to_dict()) == \
+        CacheConfig(256, 32, 2)

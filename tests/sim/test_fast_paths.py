@@ -1,10 +1,10 @@
 """Tests pinning down the reference-path fast paths.
 
-The hot-path work (TLB memo, flat cache probe, dense PIT, block run
-ops, inlined resource arithmetic) must be *invisible* in simulated
+The hot-path work (TLB memo, flat cache probe, dense PIT, reference
+blocks, inlined resource arithmetic) must be *invisible* in simulated
 results: these tests assert determinism across back-to-back runs and
-exact equivalence between run-op workloads and their per-reference
-expansion.
+exact equivalence between reference-block workloads and their
+per-reference expansion.
 """
 
 import random
@@ -17,10 +17,9 @@ from repro.kernel.frames import IMAGINARY_BASE
 from repro.sim.config import tiny_config
 from repro.sim.engine import LockTable
 from repro.sim.machine import Machine
-from repro.sim.ops import (OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN,
-                           expand_op)
+from repro.sim.ops import OP_READ, OP_REFS, OP_WRITE, expand_op
 from repro.workloads import make_workload
-from repro.workloads.base import Workload, coalesce
+from repro.workloads.base import SharedArray, Workload, refs
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -50,11 +49,12 @@ class TestDeterminism:
 
 
 class ExpandedWorkload(Workload):
-    """Wraps a workload, expanding every run op to single references.
+    """Wraps a workload, expanding every reference block to single
+    references.
 
     Running the wrapped and expanded versions through the same machine
-    configuration must give byte-identical stats — the run ops are pure
-    op-stream compression.
+    configuration must give byte-identical stats — reference blocks are
+    pure op-stream compression.
     """
 
     name = "expanded"
@@ -72,15 +72,11 @@ class ExpandedWorkload(Workload):
 
     def generator(self, cpu_id, num_cpus):
         for op in self.inner.generator(cpu_id, num_cpus):
-            if op[0] == OP_READ_RUN or op[0] == OP_WRITE_RUN:
-                for single in expand_op(op):
-                    yield single
-            else:
-                yield op
+            yield from expand_op(op)
 
 
 class TestRunOpEquivalence:
-    @pytest.mark.parametrize("app", ["fft", "lu"])
+    @pytest.mark.parametrize("app", ["fft", "lu", "ocean", "kvstore"])
     def test_app_runs_equal_expansion(self, app):
         fused = run_stats(lambda: make_workload(app, preset="tiny"), "scoma")
         expanded = run_stats(
@@ -98,47 +94,72 @@ class TestRunOpEquivalence:
 
     def test_workloads_actually_emit_runs(self):
         wl = make_workload("fft", preset="tiny")
-
-        class _Layout:
-            page_bytes = 4096
-
-            def __init__(self):
-                self.base = 0
-
-            def attach_shared(self, key, size_bytes):
-                return self.add_private(size_bytes)
-
-            def add_private(self, size_bytes):
-                region = type("R", (), {"vbase": self.base})()
-                self.base += ((size_bytes + 4095) // 4096) * 4096
-                return region
-
         wl.setup(_Layout(), 2)
-        kinds = {op[0] for op in wl.generator(0, 2)}
-        assert OP_READ_RUN in kinds and OP_WRITE_RUN in kinds
+        blocks = [op for op in wl.generator(0, 2) if op[0] == OP_REFS]
+        assert any(any(op[2]) for op in blocks)
+        assert any(not any(op[2]) for op in blocks)
 
 
-class TestCoalesce:
-    def test_round_trip_is_identity(self):
+class TestRefBlocks:
+    def test_expand_op_round_trip(self):
         rng = random.Random(7)
-        refs = []
+        singles = []
         addr = 1000
         for _ in range(300):
             kind = OP_WRITE if rng.random() < 0.3 else OP_READ
             addr += rng.choice((0, 8, 8, 8, 64, -8))
-            refs.append((kind, addr))
-        fused = list(coalesce(iter(refs)))
-        assert len(fused) < len(refs)  # something actually coalesced
-        expanded = [single for op in fused for single in expand_op(op)]
-        assert expanded == refs
+            singles.append((kind, addr))
+        block = refs([a for _k, a in singles],
+                     [k == OP_WRITE for k, _a in singles])
+        assert expand_op(block) == singles
 
-    def test_lone_references_stay_single_ops(self):
-        refs = [(OP_READ, 0), (OP_WRITE, 8), (OP_READ, 16)]
-        assert list(coalesce(iter(refs))) == refs
+    def test_read_run_is_one_range_block(self):
+        array = SharedArray(_Layout(), key=1, num_elems=64, elem_bytes=8)
+        op = array.read_run(2, 8, stride=4)
+        assert op[0] == OP_REFS and isinstance(op[1], range)
+        assert expand_op(op) == [(OP_READ, 16 + 32 * i) for i in range(8)]
+        assert expand_op(array.write_run(0, 3)) == [
+            (OP_WRITE, 0), (OP_WRITE, 8), (OP_WRITE, 16)]
 
-    def test_constant_stride_becomes_one_run(self):
-        refs = [(OP_READ, 100 + 32 * i) for i in range(8)]
-        assert list(coalesce(iter(refs))) == [(OP_READ_RUN, 100, 32, 8)]
+    def test_preempted_block_resumes_where_it_stopped(self):
+        # Every CPU sweeps the same array: their block references
+        # interleave in clock order, so blocks are preempted mid-way;
+        # the result must still equal the one-op-per-reference run.
+        make = lambda: _TwoBlocks()
+        blocks = run_stats(make, "scoma")
+        singles = run_stats(lambda: ExpandedWorkload(make()), "scoma")
+        assert blocks == singles
+        assert blocks["cpus"][0]["references"] == 2 * 48
+
+
+class _Layout:
+    page_bytes = 4096
+
+    def __init__(self):
+        self.base = 0
+
+    def attach_shared(self, key, size_bytes):
+        return self.add_private(size_bytes)
+
+    def add_private(self, size_bytes):
+        region = type("R", (), {"vbase": self.base})()
+        self.base += ((size_bytes + 4095) // 4096) * 4096
+        return region
+
+
+class _TwoBlocks(Workload):
+    """Every CPU sweeps one shared array twice, as two big blocks."""
+
+    name = "two-blocks"
+
+    def setup(self, layout, num_cpus):
+        self.array = SharedArray(layout, key=77, num_elems=48,
+                                 elem_bytes=32)
+
+    def generator(self, cpu_id, num_cpus):
+        yield self.array.read_run(0, 48)
+        yield refs([self.array.addr(i) for i in range(48)],
+                   [i % 3 == cpu_id % 3 for i in range(48)])
 
 
 class TestDensePit:

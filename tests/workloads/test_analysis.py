@@ -3,7 +3,9 @@ kernel's memory-system character."""
 
 import pytest
 
-from repro.workloads import make_workload
+from repro.sim.config import tiny_config
+from repro.sim.machine import Machine
+from repro.workloads import ALL_APPLICATIONS, make_workload
 from repro.workloads.analysis import profile_workload
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -77,3 +79,18 @@ def test_summary_keys():
     for key in ("references", "shared_fraction", "avg_sharing_degree",
                 "imbalance", "barriers"):
         assert key in summary
+
+
+@pytest.mark.parametrize("app", ALL_APPLICATIONS)
+def test_reference_counts_match_the_simulation(app):
+    # Every reference-carrying op counts, reference blocks included:
+    # the static profile sees exactly the references the machine runs.
+    config = tiny_config()
+    stats = Machine(config).run(make_workload(app, "tiny")).stats
+    p = profile_workload(make_workload(app, "tiny"),
+                         num_cpus=config.num_nodes * config.cpus_per_node,
+                         page_bytes=config.page_bytes,
+                         num_nodes=config.num_nodes)
+    assert (p.references, p.reads, p.writes) == (
+        stats.references, sum(c.reads for c in stats.cpus),
+        sum(c.writes for c in stats.cpus))

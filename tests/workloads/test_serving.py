@@ -175,18 +175,6 @@ def test_deterministic(app):
 
 
 @pytest.mark.parametrize("app", SERVING_APPLICATIONS)
-def test_coalesced_generators_match_their_raw_streams(app):
-    # coalesce_stream wrapping must expand back to the raw stream
-    # op for op.
-    wl, _ = build(app)
-    for cpu in (0, NUM_CPUS - 1):
-        raw = []
-        for op in wl._stream(cpu, NUM_CPUS):
-            raw.extend(expand_op(op))
-        assert collect_ops(wl, cpu) == raw
-
-
-@pytest.mark.parametrize("app", SERVING_APPLICATIONS)
 def test_presets_scale_down(app):
     tiny, _ = build(app, "tiny")
     serving, _ = build(app, "serving")

@@ -25,7 +25,7 @@ def build(app, preset="tiny"):
 
 
 def collect_ops(wl, cpu_id):
-    # Expand block run ops so every op is a single (kind, arg) pair.
+    # Expand reference blocks so every op is a single (kind, arg) pair.
     ops = []
     for op in wl.generator(cpu_id, NUM_CPUS):
         ops.extend(expand_op(op))
@@ -133,44 +133,3 @@ def test_descriptions_populated():
         assert info["description"]
         assert info["paper_problem"]
         assert info["problem"]
-
-
-def test_coalesce_stream_expands_to_exact_input():
-    from repro.sim.ops import OP_READ_RUN, OP_WRITE_RUN
-    from repro.workloads.base import coalesce_stream
-
-    stream = [
-        (OP_READ, 0), (OP_READ, 32), (OP_READ, 64),      # stride-32 run
-        (OP_WRITE, 96),                                  # lone write
-        (OP_COMPUTE, 10),                                # flushes
-        (OP_READ, 200), (OP_READ, 100),                  # negative stride
-        (OP_BARRIER, 0),
-        (OP_LOCK, 1), (OP_WRITE, 0), (OP_WRITE, 64),     # stride jump
-        (OP_WRITE, 128), (OP_UNLOCK, 1),
-        (OP_READ, 500),                                  # trailing single
-    ]
-    out = list(coalesce_stream(iter(stream)))
-    # Runs actually formed where strides were constant...
-    assert (OP_READ_RUN, 0, 32, 3) in out
-    assert (OP_WRITE_RUN, 0, 64, 3) in out
-    # ...and the expansion is op-for-op identical to the input.
-    expanded = []
-    for op in out:
-        expanded.extend(expand_op(op))
-    assert expanded == stream
-
-
-@pytest.mark.parametrize("app",
-                         ["ocean", "radix", "water-nsq", "water-spa",
-                          "mp3d", "barnes"])
-def test_coalesced_generators_match_their_raw_streams(app):
-    # The kernels wrap their raw per-reference streams in
-    # coalesce_stream; the wrapped generator must expand back to the
-    # raw stream exactly (same kinds, addresses, order).
-    wl, _layout = build(app)
-    assert hasattr(wl, "_stream"), "%s lost its raw stream" % app
-    for cpu in (0, NUM_CPUS - 1):
-        raw = []
-        for op in wl._stream(cpu, NUM_CPUS):
-            raw.extend(expand_op(op))
-        assert collect_ops(wl, cpu) == raw

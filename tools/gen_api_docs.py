@@ -204,9 +204,13 @@ required to leave simulated results byte-identical; see
 [PERFORMANCE.md](PERFORMANCE.md) for the hot-path design rules, the
 `tools/bench.py` throughput harness, the committed `BENCH_sim.json`
 trajectory and the CI regression gate, and a cProfile recipe for
-single cells.  Workload generators can compress constant-stride
-reference sequences into block ops (`OP_READ_RUN`/`OP_WRITE_RUN`) via
-`SharedArray.read_run`/`write_run` or `repro.workloads.base.coalesce`.
+single cells.  Workload generators batch their references into
+reference blocks, `(OP_REFS, addrs, writes)`, built one bounded chunk
+(a row, an iteration, a request batch) at a time with
+`repro.workloads.base.refs`, or from a `range` by
+`SharedArray.read_run`/`write_run` for constant-stride sweeps; the
+machine expands each block inline and `repro.sim.ops.expand_op`
+recovers the single-reference sequence.
 """
 
 
