@@ -37,7 +37,7 @@ def main() -> int:
     def access(cpu_index, addr, write=False):
         nonlocal clock
         clock += GAP
-        return machine._access(machine.cpus[cpu_index], addr, write, clock)
+        return machine.access(machine.cpus[cpu_index], addr, write, clock)
 
     # Node 0 writes the page; node 1's CPU reads it (and is the home).
     access(0, vaddr, write=True)

@@ -34,7 +34,7 @@ def main() -> int:
     def access(cpu_index, vaddr, write=False):
         nonlocal clock
         clock += GAP
-        end = machine._access(machine.cpus[cpu_index], vaddr, write, clock)
+        end = machine.access(machine.cpus[cpu_index], vaddr, write, clock)
         return end - clock
 
     hot_cpu = 0        # node 0

@@ -157,3 +157,6 @@ class MigrationManager:
         machine.nodes[static_id].msglog.record(MessageKind.MIGRATE_ACK, 2)
         self.migrations += 1
         obs.counter("core.migrations").inc()
+        if machine.probes.migrate is not None:
+            for fn in machine.probes.migrate:
+                fn(gpage, old_home_id, new_home_id)

@@ -494,11 +494,11 @@ class Session:
         refreshing any snapshot-less entry for the same spec — last
         writer wins).  ``sink`` takes a
         :class:`repro.obs.events.EventSink`; when given, the run is also
-        traced (``trace_kinds`` restricts the recorded event classes as
-        in :class:`repro.sim.trace.TraceRecorder`).  Tracing needs the
+        traced (``trace_kinds`` restricts the recorded event kinds as
+        in :class:`repro.obs.events.TraceRecorder`).  Tracing needs the
         live machine, so this path never *serves* from the cache.
         """
-        from repro.sim.trace import TraceRecorder
+        from repro.obs.events import TraceRecorder
 
         override = (list(spec.page_cache_override)
                     if spec.page_cache_override is not None else None)

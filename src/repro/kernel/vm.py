@@ -73,6 +73,8 @@ class NodeKernel:
             self._obs_pageout = None
         # Causal-tracing handle (None when no collector is installed).
         self._tracer = tracing.current()
+        #: The machine's probe bus (fault, pageout and promote slots).
+        self._probes = machine.probes
 
         #: Remote refetch counters for LA-NUMA pages (dyn-bidir).
         self.refetch_counts: "dict[int, int]" = {}
@@ -115,6 +117,10 @@ class NodeKernel:
 
         Returns ``(frame, completion_time)``.
         """
+        tracer = self._tracer
+        if tracer is not None:
+            root = tracer.begin("fault", "fault", self.node.node_id, now,
+                                vpage=vpage)
         layout = self.machine.layout
         if not layout.is_mapped(vpage):
             raise RuntimeError(
@@ -139,6 +145,11 @@ class NodeKernel:
                 kind = "client"
         if self._obs_fault is not None:
             self._obs_fault[kind].observe(done - now)
+        if tracer is not None:
+            tracer.end(root, done)
+        if self._probes.fault is not None:
+            for fn in self._probes.fault:
+                fn(self, vpage, frame, now)
         return frame, done
 
     def _fault_private(self, vpage: int, now: int) -> "tuple[int, int]":
@@ -259,6 +270,10 @@ class NodeKernel:
         If ``demote``, the page's future faults at this node allocate
         LA-NUMA frames.  Returns the completion time.
         """
+        tracer = self._tracer
+        if tracer is not None:
+            span = tracer.begin("page_out", "pageout", self.node.node_id,
+                                now, frame=frame)
         pit = self.node.pit
         entry = pit.entry_or_none(frame)
         if entry is None:
@@ -295,6 +310,11 @@ class NodeKernel:
         if demote:
             self.page_mode_override[gpage] = PageMode.LANUMA
             self.node.stats.mode_demotions += 1
+        if tracer is not None:
+            tracer.end(span, now + cost)
+        if self._probes.pageout is not None:
+            for fn in self._probes.pageout:
+                fn(self, frame, now, demote)
         return now + cost
 
     def page_out_home(self, gpage: int, now: int) -> int:
@@ -385,6 +405,10 @@ class NodeKernel:
             if entry is None or entry.mode != PageMode.LANUMA:
                 continue
             self.page_mode_override.pop(entry.gpage, None)
+            start = now
             now = self.page_out_client(frame, now)
             self.node.stats.mode_promotions += 1
+            if self._probes.promote is not None:
+                for fn in self._probes.promote:
+                    fn(self, entry.gpage, start)
         return now

@@ -5,8 +5,10 @@ Three substrates, all strictly opt-in:
 * **Metrics** (:mod:`repro.obs.registry`) — counters, gauges,
   log-bucket histograms and bounded time series, organized as labeled
   families in a :class:`MetricsRegistry`;
-* **Events** (:mod:`repro.obs.events`) — a typed, ordered, ring-buffered
-  structured-event sink with JSONL/CSV export and schema validation;
+* **Events** (:mod:`repro.obs.events`) — the machine's probe bus
+  (``machine.probes``, which every observer attaches to) and a typed,
+  ordered, ring-buffered structured-event sink with JSONL/CSV export
+  and schema validation;
 * **Causal tracing** (:mod:`repro.obs.tracing`) — span trees following
   each coherence transaction end to end, with deterministic ids, an
   exact critical-path latency breakdown, and JSONL / Chrome trace
@@ -16,9 +18,9 @@ Instrumented code calls the module-level helpers (:func:`counter`,
 :func:`gauge`, :func:`histogram`, :func:`series`, :func:`timer`).  With
 no registry installed they return shared no-op objects, so the
 uninstrumented hot path costs one global load and a ``None`` check; the
-simulator's per-reference path goes further and pre-resolves its
-handles at machine construction (see ``Machine.__init__``), paying a
-single attribute test per reference.
+simulator's per-reference path goes further: its latency histogram is
+an ``access`` probe, and with no probe attached the event loop pays a
+single attribute test per scheduler turn and none per reference.
 
 Install a registry process-wide with :func:`install` / :func:`uninstall`
 or, more commonly, scoped::

@@ -15,7 +15,7 @@ collector installed every instrumentation site pays one pointer test
 an uninstrumented run.  Install a collector for the current process
 with :func:`install`/:func:`uninstall` or the :func:`collecting`
 context manager, *before* constructing the :class:`~repro.sim.machine.
-Machine` (the machine binds the collector's root-span hooks at
+Machine` (the machine and its layers take their tracer handle at
 construction time)::
 
     from repro.obs import tracing
@@ -264,7 +264,7 @@ class TraceCollector:
         self._registry = None
         self._seg_hists: "dict[str, object]" = {}
         self._policy = ""
-        self._bound: "list[tuple[object, str]]" = []
+        self._machines: "list[object]" = []
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -474,111 +474,35 @@ class TraceCollector:
     # -- machine binding ---------------------------------------------------
 
     def bind_machine(self, machine) -> None:
-        """Install root-span hooks on a machine's slow paths.
+        """Serve ``machine``: take its policy label and become its
+        network's tracer.
 
-        Wraps ``Machine._miss`` / ``Machine._upgrade`` and every node
-        kernel's ``fault`` / ``page_out_client`` at *instance* level
-        (the same shadowing technique as
-        :class:`repro.sim.trace.TraceRecorder`), and points
-        ``machine.network.tracer`` here.  The per-reference fast path
-        (`_access`) is untouched — cache hits are never traced, which
-        is what keeps the traced-run overhead within the bench gate.
+        The machine, its controllers and its kernels take the installed
+        collector as their ``_tracer`` handle at construction.  The slow
+        paths (``Machine._miss`` / ``_upgrade``, kernel ``fault`` /
+        ``page_out_client``) open and close their root spans through
+        it, and ``Machine.run`` unwinds a transaction an exception
+        escaped from.  The per-reference fast path (``_access``) never
+        calls the tracer — cache hits are never traced, which is what
+        keeps the traced-run overhead within the bench gate.
         """
         from repro import obs
 
         self._registry = obs.current()
         self._policy = machine.policy.name
+        self._machines.append(machine)
         machine.network.tracer = self
-        collector = self
-
-        miss = machine._miss
-
-        def traced_miss(cpu, frame, lip, line, is_write, now, _miss=miss):
-            root = collector.begin("miss", "local", cpu.node.node_id, now,
-                                   cpu=cpu.cpu_id, write=int(is_write))
-            try:
-                t = _miss(cpu, frame, lip, line, is_write, now)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(root, t)
-            return t
-
-        machine._miss = traced_miss
-        self._bound.append((machine, "_miss"))
-
-        upgrade = machine._upgrade
-
-        def traced_upgrade(cpu, frame, lip, line, now, _upgrade=upgrade):
-            root = collector.begin("upgrade", "local", cpu.node.node_id,
-                                   now, cpu=cpu.cpu_id, write=1)
-            try:
-                t = _upgrade(cpu, frame, lip, line, now)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(root, t)
-            return t
-
-        machine._upgrade = traced_upgrade
-        self._bound.append((machine, "_upgrade"))
-
-        for node in machine.nodes:
-            self._bind_kernel(node.kernel)
-
-    def _bind_kernel(self, kernel) -> None:
-        collector = self
-        node_id = kernel.node.node_id
-
-        fault = kernel.fault
-
-        def traced_fault(vpage, now, _fault=fault):
-            root = collector.begin("fault", "fault", node_id, now,
-                                   vpage=vpage)
-            try:
-                frame, done = _fault(vpage, now)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(root, done)
-            return frame, done
-
-        kernel.fault = traced_fault
-        self._bound.append((kernel, "fault"))
-
-        pageout = kernel.page_out_client
-
-        def traced_pageout(frame, now, demote=False, _pageout=pageout):
-            span = collector.begin("page_out", "pageout", node_id, now,
-                                   frame=frame)
-            try:
-                t = _pageout(frame, now, demote)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(span, t)
-            return t
-
-        kernel.page_out_client = traced_pageout
-        self._bound.append((kernel, "page_out_client"))
 
     def detach(self) -> None:
-        """Remove the instance-level hooks installed by
-        :meth:`bind_machine` (restores the original methods) and clear
-        the tracer handles the machine's layers captured at
-        construction, so the whole machine reverts to the no-op path."""
-        for owner, name in self._bound:
-            try:
-                delattr(owner, name)
-            except AttributeError:  # pragma: no cover - already clean
-                pass
-            if name == "_miss" and getattr(owner, "network", None) is not None:
-                owner.network.tracer = None
-                owner._tracer = None
-                for node in owner.nodes:
-                    node.controller._tracer = None
-                    node.kernel._tracer = None
-        self._bound = []
+        """Clear the tracer handles of every bound machine's layers, so
+        each machine reverts to the untraced path."""
+        for machine in self._machines:
+            machine.network.tracer = None
+            machine._tracer = None
+            for node in machine.nodes:
+                node.controller._tracer = None
+                node.kernel._tracer = None
+        self._machines = []
 
     # -- reporting ---------------------------------------------------------
 

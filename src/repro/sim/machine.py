@@ -34,6 +34,7 @@ from repro.mem.cache import CacheHierarchy, LineState, NodePresence
 from repro.mem.tlb import Tlb
 from repro import obs
 from repro.obs import tracing
+from repro.obs.events import Probes
 from repro.sim.config import MachineConfig
 from repro.sim.engine import Barrier, LockTable, Resource, sample_utilization
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
@@ -51,6 +52,17 @@ _SCOMA = PageMode.SCOMA
 _LANUMA = PageMode.LANUMA
 _CCNUMA = PageMode.CCNUMA
 _PM_LOCAL = PageMode.LOCAL
+
+
+def _latency_probe(histogram):
+    """Access probe feeding ``sim.access_latency_cycles``."""
+    observe = histogram.observe
+
+    def on_access(cpu, vaddr, is_write, now, done):
+        observe(done - now)
+        return done
+
+    return on_access
 
 
 class Cpu:
@@ -188,6 +200,10 @@ class Machine:
         self.faults = faults
         #: Simulated-cycle budget; None = unbounded.
         self.deadline = deadline
+        #: The probe bus: every observer of this machine attaches here
+        #: (see :class:`~repro.obs.events.Probes`).  Built before the
+        #: nodes so the kernels can hoist it.
+        self.probes = Probes()
         cfg = self.config
         lat = cfg.latency
 
@@ -239,32 +255,26 @@ class Machine:
         self.locks = LockTable(cost=lat.lock_cost)
         self._barriers: "dict[int, Barrier]" = {}
         self._ref_gap = 3
-        #: Called as ``hook(release_time)`` at every barrier release
-        #: (verification: invariant walks at synchronization points).
-        #: None keeps the barrier path a single attribute test.
-        self._barrier_hook = None
-        #: Workload-bound taps (closed after _finalize); see run.
-        self._taps = []
         #: Nodes that have fail-stopped (section 3.3 failure model).
         self.failed_nodes: "set[int]" = set()
         self.stats = MachineStats(
             nodes=[n.stats for n in self.nodes],
             cpus=[c.stats for c in self.cpus])
 
-        # Observability: pre-resolve the per-reference histogram handle
-        # so the hot path pays one attribute test when disabled.
+        # Observability: the per-reference latency histogram is an
+        # access probe, attached for the duration of each run.
         self._obs = obs.current()
-        self._obs_access = (
-            self._obs.histogram("sim.access_latency_cycles",
-                                policy=self.policy.name)
+        self._latency_probe = (
+            _latency_probe(self._obs.histogram("sim.access_latency_cycles",
+                                               policy=self.policy.name))
             if self._obs is not None else None)
 
         if faults is not None:
             faults.bind(self)
 
         # Causal tracing: opt-in like obs.  With no collector installed
-        # the slow paths stay unwrapped, the network hook stays None
-        # and simulated results are byte-identical.
+        # every ``_tracer`` handle stays None and simulated results are
+        # byte-identical.
         self._tracer = tracing.current()
         if self._tracer is not None:
             self._tracer.bind_machine(self)
@@ -291,15 +301,18 @@ class Machine:
         A workload exposing ``bind_machine(machine)`` (the serving
         family's metrics tap, the 2PC chaos channel driver) is called
         after :meth:`setup` built its segments but before any op
-        executes.  A returned object with a ``close()`` method is
-        closed after the run's stats are finalized.
+        executes, to attach its probes.  Probes attached from then on
+        (those and the latency histogram) are detached when the run
+        ends; probes attached before the call stay.
         """
         workload.setup(self.layout, len(self.cpus))
+        probes = self.probes
+        outer = probes.state()
         bind = getattr(workload, "bind_machine", None)
         if bind is not None:
-            tap = bind(self)
-            if tap is not None and hasattr(tap, "close"):
-                self._taps.append(tap)
+            bind(self)
+        if self._latency_probe is not None:
+            probes.attach("access", self._latency_probe)
         # Instructions executed around each memory reference (address
         # arithmetic, loop control) — keeps issue rates realistic for an
         # in-order CPU instead of back-to-back memory operations.
@@ -307,11 +320,18 @@ class Machine:
         for cpu in self.cpus:
             cpu.gen = workload.generator(cpu.cpu_id, len(self.cpus))
         start = perf_counter()
-        self._event_loop()
+        try:
+            self._event_loop()
+        except BaseException as exc:
+            # Close the causal trace of the transaction the exception
+            # escaped from (nothing in the simulator catches one).
+            if self._tracer is not None:
+                self._tracer.unwind(error=type(exc).__name__)
+            raise
+        finally:
+            probes.restore(outer)
         wall = perf_counter() - start
         self._finalize()
-        for tap in self._taps:
-            tap.close()
         if self._obs is not None:
             # Host-side throughput, next to the simulated telemetry:
             # how fast the host chewed through this run's references.
@@ -320,14 +340,6 @@ class Machine:
                 round(self.stats.references / wall, 1) if wall > 0 else 0.0)
         return RunResult(workload=workload.name, policy=self.policy.name,
                          config=self.config, stats=self.stats)
-
-    def on_barrier_release(self, hook) -> None:
-        """Install ``hook(release_time)`` to run at every barrier
-        release (``None`` uninstalls).  The verification layer hangs
-        machine-wide invariant walks here: barrier releases are the
-        points where every CPU is quiescent, so cross-node state must
-        be consistent."""
-        self._barrier_hook = hook
 
     def _event_loop(self) -> None:
         """Run every CPU to completion in timestamp order.
@@ -411,12 +423,10 @@ class Machine:
         time = cpu.time
         stats = cpu.stats
         # Hot locals: bound methods and fields resolved once per entry
-        # instead of per reference.  self._access stays an attribute
-        # load here (not hoisted at construction) so TraceRecorder's
-        # instance-level wrapping keeps working.
-        access = self._access
+        # instead of per reference.  With an access probe attached every
+        # reference goes through the probed entry instead.
+        access = self._access if self.probes.access is None else self.access
         ref_gap = self._ref_gap
-        obs_access = self._obs_access
         block = cpu.run_state
         while limit is None or time <= limit:
             if block is not None:
@@ -426,15 +436,12 @@ class Machine:
                 # block's (address, write) iterator is the CPU's run
                 # state, so a preempted block resumes where it stopped.
                 for addr, is_write in block:
-                    issued = time + ref_gap
-                    time = access(cpu, addr, is_write, issued)
+                    time = access(cpu, addr, is_write, time + ref_gap)
                     stats.references += 1
                     if is_write:
                         stats.writes += 1
                     else:
                         stats.reads += 1
-                    if obs_access is not None:
-                        obs_access.observe(time - issued)
                     if limit is not None and time > limit:
                         cpu.run_state = block
                         cpu.time = time
@@ -449,19 +456,13 @@ class Machine:
                 return "done"
             kind = op[0]
             if kind == OP_READ:
-                issued = time + ref_gap
-                time = access(cpu, op[1], False, issued)
+                time = access(cpu, op[1], False, time + ref_gap)
                 stats.references += 1
                 stats.reads += 1
-                if obs_access is not None:
-                    obs_access.observe(time - issued)
             elif kind == OP_WRITE:
-                issued = time + ref_gap
-                time = access(cpu, op[1], True, issued)
+                time = access(cpu, op[1], True, time + ref_gap)
                 stats.references += 1
                 stats.writes += 1
-                if obs_access is not None:
-                    obs_access.observe(time - issued)
             elif kind == OP_COMPUTE:
                 time += op[1]
             elif kind == OP_REFS:
@@ -480,8 +481,9 @@ class Machine:
                         self._wake(rcid, rtime)
                     if self._obs is not None:
                         self._sample_epoch(released[0][1])
-                    if self._barrier_hook is not None:
-                        self._barrier_hook(released[0][1])
+                    if self.probes.barrier is not None:
+                        for fn in self.probes.barrier:
+                            fn(released[0][1])
                 return "blocked"
             elif kind == OP_LOCK:
                 granted = self.locks.acquire(op[1], cpu.cpu_id, time)
@@ -505,6 +507,19 @@ class Machine:
     # ------------------------------------------------------------------
     # The memory reference path.
     # ------------------------------------------------------------------
+
+    def access(self, cpu: Cpu, vaddr: int, is_write: bool, now: int) -> int:
+        """Resolve one reference issued at ``now`` and pass it through
+        every ``access`` probe; returns its completion time.
+
+        The event loop calls this instead of the bare :meth:`_access`
+        while an access probe is attached; code that drives references
+        by hand calls it so attached observers see them too.
+        """
+        done = self._access(cpu, vaddr, is_write, now)
+        for fn in self.probes.access or ():
+            done = fn(cpu, vaddr, is_write, now, done)
+        return done
 
     def _access(self, cpu: Cpu, vaddr: int, is_write: bool, now: int) -> int:
         vpage = vaddr >> self._page_shift
@@ -577,6 +592,10 @@ class Machine:
                  now: int) -> int:
         """Write to a SHARED copy in this CPU's cache."""
         node = cpu.node
+        tracer = self._tracer
+        if tracer is not None:
+            root = tracer.begin("upgrade", "local", node.node_id, now,
+                                cpu=cpu.cpu_id, write=1)
         dense = node.pit.dense_real
         entry = (dense[frame] if frame < len(dense)
                  else node.pit.entry_or_none(frame))
@@ -600,11 +619,17 @@ class Machine:
             t = node.kernel.drain_promotions(t)
             if self.migration.enabled:
                 self.migration.drain()
+        if tracer is not None:
+            tracer.end(root, t)
         return t
 
     def _miss(self, cpu: Cpu, frame: int, lip: int, line: int,
               is_write: bool, now: int) -> int:
         node = cpu.node
+        tracer = self._tracer
+        if tracer is not None:
+            root = tracer.begin("miss", "local", node.node_id, now,
+                                cpu=cpu.cpu_id, write=int(is_write))
         dense = node.pit.dense_real
         entry = (dense[frame] if frame < len(dense)
                  else node.pit.entry_or_none(frame))
@@ -674,6 +699,8 @@ class Machine:
             t = node.kernel.drain_promotions(t)
             if self.migration.enabled:
                 self.migration.drain()
+        if tracer is not None:
+            tracer.end(root, t)
         return t
 
     def _serve_local(self, cpu: Cpu, line: int, is_write: bool, now: int,
@@ -812,8 +839,8 @@ class Machine:
         *owned* by the dead node stays owned — the only valid copy died
         with it, and touching it keeps raising ``NodeFailedError``.
 
-        ``now`` is the simulated failure time (for the obs event;
-        ``-1`` when failed outside a run).
+        ``now`` is the simulated failure time (for the ``node_fail``
+        probe; ``-1`` when failed outside a run).
         """
         if not 0 <= node_id < len(self.nodes):
             raise ValueError("no node %d" % node_id)
@@ -853,6 +880,9 @@ class Machine:
         if sharers_pruned or hints_reset:
             obs.counter("sim.failover_sharers_pruned").inc(sharers_pruned)
             obs.counter("sim.failover_hints_reset").inc(hints_reset)
+        if self.probes.node_fail is not None:
+            for fn in self.probes.node_fail:
+                fn(node_id, now)
 
     def shared_resources(self) -> "list[Resource]":
         """Every shared hardware resource (buses, memory ports,

@@ -19,10 +19,8 @@ CPU hitting a *stale* shadow copy, and the recorded read value diverges
 from the latest write — which :func:`repro.verify.checker.check_history`
 then flags.
 
-The tap wraps ``Machine._access`` as an *instance* attribute (the same
-idiom :class:`repro.sim.trace.TraceRecorder` uses — the machine looks
-``_access`` up per ``_run_cpu`` entry precisely so this works) and
-costs nothing when not attached.
+The tracker is an ``access`` probe (see
+:class:`~repro.obs.events.Probes`) and costs nothing when not attached.
 """
 
 from __future__ import annotations
@@ -48,48 +46,41 @@ class ValueTracker:
         #: (cpu_id, vline) -> version this CPU's cached copy holds.
         self.cpu_copy: "dict[tuple[int, int], int]" = {}
         self._line_shift = machine._line_shift
-        self._page_shift = machine._page_shift
-        self._lpp = machine._lpp
-        self._lip_mask = machine._lip_mask
-        self._orig_access = machine._access
-        machine._access = self._on_access
+        #: Per CPU, the L1 + L2 hit count after its last reference: a
+        #: read whose reference moved the count found its line resident
+        #: *before* resolving (the access itself fills the cache, so
+        #: probing residency afterwards would call every read a hit).
+        self._hits = [cpu.stats.l1_hits + cpu.stats.l2_hits
+                      for cpu in machine.cpus]
+        machine.probes.attach("access", self._on_access)
 
     def detach(self) -> None:
-        """Restore the machine's unwrapped reference path."""
-        try:
-            del self.machine._access
-        except AttributeError:
-            pass
+        """Unsubscribe from the machine's reference path (idempotent)."""
+        self.machine.probes.detach("access", self._on_access)
 
-    def _on_access(self, cpu, vaddr: int, is_write: bool, now: int) -> int:
+    def _on_access(self, cpu, vaddr: int, is_write: bool, now: int,
+                   t: int) -> int:
         vline = vaddr >> self._line_shift
+        cid = cpu.cpu_id
+        stats = cpu.stats
+        hits = stats.l1_hits + stats.l2_hits
+        hit = hits != self._hits[cid]
+        self._hits[cid] = hits
         if is_write:
-            t = self._orig_access(cpu, vaddr, True, now)
             self.version += 1
             version = self.version
             self.latest[vline] = version
-            self.cpu_copy[(cpu.cpu_id, vline)] = version
-            self.sink.emit("write", time=t, cpu=cpu.cpu_id, vaddr=vaddr,
+            self.cpu_copy[(cid, vline)] = version
+            self.sink.emit("write", time=t, cpu=cid, vaddr=vaddr,
                            value=version, version=version)
             return t
-        # Classify hit/miss BEFORE resolving: the access itself fills
-        # the cache, so probing afterwards would call every read a hit.
-        # The probe reads the kernel page table and the flat cache dicts
-        # directly — no TLB/LRU/counter state is disturbed.
-        hit = False
-        frame = cpu.node.kernel.page_table.get(vaddr >> self._page_shift)
-        if frame is not None:
-            line = frame * self._lpp + (vline & self._lip_mask)
-            hierarchy = cpu.hierarchy
-            hit = (line in hierarchy.l1.flat or line in hierarchy.l2.flat)
-        t = self._orig_access(cpu, vaddr, False, now)
-        key = (cpu.cpu_id, vline)
+        key = (cid, vline)
         current = self.latest.get(vline, 0)
         if hit:
             observed = self.cpu_copy.get(key, current)
         else:
             observed = current
             self.cpu_copy[key] = current
-        self.sink.emit("read", time=t, cpu=cpu.cpu_id, vaddr=vaddr,
+        self.sink.emit("read", time=t, cpu=cid, vaddr=vaddr,
                        value=observed, version=observed)
         return t

@@ -19,8 +19,8 @@ from repro.sim.machine import Machine
 GAP = 100_000
 
 
-def _microbench_config(**overrides) -> MachineConfig:
-    cfg = MachineConfig(
+def _microbench_config() -> MachineConfig:
+    return MachineConfig(
         num_nodes=8,
         cpus_per_node=2,
         page_bytes=1024,
@@ -29,9 +29,6 @@ def _microbench_config(**overrides) -> MachineConfig:
         l2=CacheConfig(8192, 32, 4),
         tlb_entries=16,
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
 
 
 class LatencyProbe:
@@ -53,7 +50,7 @@ class LatencyProbe:
         """One reference; returns its latency in cycles."""
         self.clock += GAP
         cpu = self.machine.cpus[cpu_index]
-        end = self.machine._access(cpu, vaddr, write, self.clock)
+        end = self.machine.access(cpu, vaddr, write, self.clock)
         return end - self.clock
 
     def cpu_on_node(self, node_id: int, local: int = 0) -> int:

@@ -50,7 +50,7 @@ class Harness:
     def access(self, cpu_index: int, vaddr: int, write: bool = False) -> int:
         self.clock += GAP
         cpu = self.machine.cpus[cpu_index]
-        end = self.machine._access(cpu, vaddr, write, self.clock)
+        end = self.machine.access(cpu, vaddr, write, self.clock)
         return end - self.clock
 
     def read(self, cpu: int, vaddr: int) -> int:

@@ -323,7 +323,22 @@ def test_detach_restores_machine_fast_path():
         machine.run(make_workload("fft", "tiny"))
         assert collector.started == 0
     assert machine.network.tracer is None
+    assert machine._tracer is None
     assert "_miss" not in vars(machine)
+
+
+def test_exception_escaping_run_unwinds_the_open_transaction():
+    from repro.core.controller import NodeFailedError
+
+    with tracing.collecting() as collector:
+        machine = Machine(MachineConfig(), policy="scoma")
+        machine.fail_node(1)
+        with pytest.raises(NodeFailedError):
+            machine.run(make_workload("fft", "tiny"))
+    (trace,) = collector.errored()
+    assert trace.error == "NodeFailedError"
+    assert trace.root.attrs["error"] == "NodeFailedError"
+    assert collector.context() is None           # nothing left open
 
 
 def test_message_channel_links_send_and_recv():

@@ -53,11 +53,10 @@ def test_reads_observe_latest_write_on_a_correct_machine():
 def test_detach_restores_the_class_reference_path():
     test = suite_by_name()["mp_scoma"]
     machine = Machine(test.build_config(), policy=test.policy)
-    unwrapped = machine._access
     tracker = ValueTracker(machine, EventSink())
-    assert machine._access == tracker._on_access
+    assert machine.probes.access == (tracker._on_access,)
     tracker.detach()
-    assert machine._access == unwrapped
+    assert machine.probes.access is None
     assert "_access" not in machine.__dict__
     tracker.detach()  # idempotent
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests + a 2-worker mini-campaign smoke test.
+# CI gate: probe-bus gate, tier-1 tests, a 2-worker mini-campaign smoke
+# test and the observability, verification and throughput gates.
 #
 # Usage: tools/ci_check.sh [extra pytest args...]
 #
@@ -13,6 +14,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+
+echo "== probe bus gate: no instance method replacement in src/ =="
+# Observers attach to machine.probes; none may shadow a machine, kernel,
+# migration, network or controller method on an instance.  Self-test
+# first: the gate must reject a planted replacement.
+plant=$(mktemp -d)
+printf 'def f(*args):\n    return 0\n\nmachine._access = f\n' > "$plant/planted.py"
+if python tools/check_no_instance_patching.py "$plant" > /dev/null 2>&1; then
+    rm -rf "$plant"
+    echo "FAIL: the instance-patching gate missed a planted replacement" >&2
+    exit 1
+fi
+rm -rf "$plant"
+python tools/check_no_instance_patching.py src
 
 echo "== tier-1 tests =="
 # Line-coverage floor rides along when pytest-cov is available; the CI

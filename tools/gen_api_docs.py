@@ -124,13 +124,18 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   runs one cell in-process with metrics and, optionally, a structured
   event trace.  Render with `repro.harness.tables.metrics_table` or
   export with `repro.harness.export.save_metrics` (`metrics.json`).
-* **Structured events** — `repro.obs.events.EventSink` ring-buffers
-  typed events (`access`, `fault`, `pageout`, `promote`, `migrate` per
-  `EVENT_SCHEMA`) with monotonic sequence numbers that survive drops;
-  `validate_event()` / `validate_jsonl()` check an exported trace end
-  to end (strict: unknown fields and non-monotonic sequence numbers
-  are rejected).  The `repro.sim.trace.TraceRecorder` forwards its
-  machine hooks to a sink when constructed with one.
+* **Probes and structured events** — every `Machine` carries one
+  probe bus, `machine.probes` (`repro.obs.events.Probes`): named slots
+  (`access`, `barrier`, `fault`, `pageout`, `promote`, `migrate`,
+  `node_fail`), each `None` or a tuple of callbacks run in attach
+  order.  All observers attach there.  `repro.obs.events.EventSink`
+  ring-buffers typed events (`access`, `fault`, `pageout`, `promote`,
+  `migrate`, `node_fail` per `EVENT_SCHEMA`) with monotonic sequence
+  numbers that survive drops; `validate_event()` / `validate_jsonl()`
+  check an exported trace end to end (strict: unknown fields and
+  non-monotonic sequence numbers are rejected).
+  `repro.obs.events.TraceRecorder` subscribes to the probes and writes
+  machine events into a sink.
 * **Causal tracing** — `repro.obs.tracing.TraceCollector` follows each
   coherence transaction end-to-end as a span tree (miss/upgrade/fault
   roots; queue-wait, network-hop, home-service, invalidation-fan-out,
